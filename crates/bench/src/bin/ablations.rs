@@ -253,7 +253,10 @@ fn main() {
                             bandwidth_aware_binary(&roster, e.links().oracle_at(SimTime::ZERO))
                                 .expect("8 servers");
                         let da = e.run(Algorithm::DownloadAll);
-                        e.run_with_tree(Algorithm::OneShot, tree).speedup_over(&da)
+                        e.clone()
+                            .with_tree(tree)
+                            .run(Algorithm::OneShot)
+                            .speedup_over(&da)
                     }),
                 ),
             ],

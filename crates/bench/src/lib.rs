@@ -15,8 +15,10 @@
 //! accepts `--configs N` (default: the paper's 300), `--seed S`,
 //! `--threads T` and `--json PATH` (machine-readable series archive).
 //!
-//! The `benches/` directory holds criterion micro/meso benchmarks of the
-//! kernel, the placement search and the end-to-end engine.
+//! The `perf` binary is the perf-regression harness: it times the event
+//! queue, the placement search, trace lookups and whole runs and studies,
+//! and counts their allocations (`cargo run --release -p wadc-bench --bin
+//! perf`).
 
 // `deny` rather than `forbid`: the counting allocator in `alloc` must
 // implement `GlobalAlloc`, which is an `unsafe` trait; that module
@@ -25,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod harness;
 pub mod json;
 
 use std::path::PathBuf;

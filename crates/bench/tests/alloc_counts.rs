@@ -1,24 +1,25 @@
 //! End-to-end check of the allocation-counting harness against the
-//! engine's pooled steady state: a warm-pool run of the same world must
-//! allocate strictly less than a cold run — and produce the same digest.
+//! engine's run arena: a run on a warm [`RunScratch`] must allocate
+//! strictly less than a cold run of the same world — and produce the same
+//! digest.
 //!
 //! This is the only test in the binary: the counting allocator is
 //! process-global, so a second concurrent test would perturb the counts.
 
 use wadc_bench::alloc::{AllocScope, CountingAlloc};
-use wadc_core::engine::{Algorithm, MsgPool};
+use wadc_core::engine::{Algorithm, RunScratch};
 use wadc_core::experiment::Experiment;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
-fn warm_pool_run_allocates_strictly_less_than_cold() {
-    // Warm up: fills the message pool and the experiment's shared
-    // workload cache, exactly as a study's later runs would find them.
+fn warm_arena_run_allocates_strictly_less_than_cold() {
+    // Warm up: fills the arena and the experiment's shared workload
+    // cache, exactly as a study's later runs would find them.
     let warm_exp = Experiment::quick(4, 7);
-    let mut pool = MsgPool::new();
-    let _ = warm_exp.run_pooled(Algorithm::OneShot, &mut pool);
+    let mut scratch = RunScratch::new();
+    let _ = warm_exp.run_scratch(Algorithm::OneShot, &mut scratch);
 
     let cold_exp = Experiment::quick(4, 7);
     let scope = AllocScope::begin();
@@ -26,22 +27,18 @@ fn warm_pool_run_allocates_strictly_less_than_cold() {
     let cold_stats = scope.finish();
 
     let scope = AllocScope::begin();
-    let warm = warm_exp.run_pooled(Algorithm::OneShot, &mut pool);
+    let warm = warm_exp.run_scratch(Algorithm::OneShot, &mut scratch);
     let warm_stats = scope.finish();
 
     assert_eq!(
         warm.digest(),
         cold.digest(),
-        "pooling must not change results"
+        "arena reuse must not change results"
     );
     assert!(
         cold_stats.allocs > 0,
         "the counting allocator should be installed"
     );
-    // Strictly less, not a fixed ratio: a cold run warms its *own*
-    // internal pool as completions recycle boxes mid-run, so the
-    // warm-pool advantage is the initial fill plus the shared workload —
-    // real, but bounded.
     assert!(
         warm_stats.allocs < cold_stats.allocs,
         "warm run should allocate less than cold: warm {} vs cold {}",

@@ -257,8 +257,10 @@ impl EngineConfig {
     /// empty workloads, zero-period adaptive algorithms, malformed fault
     /// plans and retry policies.
     ///
-    /// [`crate::engine::Engine::new_with_parts`] calls this eagerly, so a
-    /// bad configuration fails at construction with a clear message.
+    /// [`crate::experiment::Experiment::engine_scratch`] calls this before
+    /// it builds the tree or the world, so a bad configuration fails with
+    /// a clear message; [`crate::experiment::Experiment::validate`] returns
+    /// the same message as an error.
     ///
     /// # Errors
     ///

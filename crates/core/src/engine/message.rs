@@ -191,12 +191,11 @@ impl Message {
 ///
 /// Pooling is *observationally inert*: a recycled message is field-reset on
 /// acquire, so run digests are bit-identical with a cold or warm pool. The
-/// pool can also outlive an engine ([`Engine::run_reclaim`]) and warm the
-/// next run of the same study config.
-///
-/// [`Engine::run_reclaim`]: super::Engine::run_reclaim
+/// pool is the message free list of the run arena
+/// ([`RunScratch`](super::RunScratch)), so it outlives an engine and warms
+/// the next run.
 #[derive(Debug, Default)]
-pub struct MsgPool {
+pub(crate) struct MsgPool {
     // The boxes ARE the pooled resource: acquire/release trade stable
     // allocations, never messages by value.
     #[allow(clippy::vec_box)]
@@ -205,16 +204,6 @@ pub struct MsgPool {
 }
 
 impl MsgPool {
-    /// An empty (cold) pool.
-    pub fn new() -> Self {
-        MsgPool::default()
-    }
-
-    /// Number of parked message boxes.
-    pub fn len(&self) -> usize {
-        self.free.len()
-    }
-
     /// Returns `true` if the pool holds no recycled boxes.
     pub fn is_empty(&self) -> bool {
         self.free.is_empty()
@@ -353,14 +342,14 @@ mod tests {
 
     #[test]
     fn pool_recycles_boxes_and_vectors() {
-        let mut pool = MsgPool::new();
+        let mut pool = MsgPool::default();
         assert!(pool.is_empty());
         let mut msg = pool.acquire();
         msg.payload = Payload::BarrierAbort { version: 3 };
         msg.attempt = 7;
         msg.locations = Some(LocationVector::new(vec![HostId::new(4); 2]));
         pool.release(msg);
-        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.free.len(), 1);
         let recycled = pool.acquire();
         assert!(pool.is_empty());
         assert_eq!(recycled.payload, Payload::Probe, "acquire blanks the box");

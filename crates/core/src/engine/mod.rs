@@ -42,7 +42,6 @@ use wadc_monitor::vector::LocationVector;
 use wadc_net::faults::{FaultInjector, TrafficKind};
 use wadc_net::link::LinkTable;
 use wadc_net::network::{NetScratch, Network, StartedTransfer, TransferId, TransferSpec};
-use wadc_net::topo::nominal_link_table;
 use wadc_obs::metrics::SeriesKind;
 use wadc_obs::recorder::{
     EventArgs, EventKind, Obs, SeriesId, SeriesName, SpanArgs, SpanId, SpanKind, TrackId, TrackName,
@@ -64,7 +63,8 @@ use crate::knowledge::{KnowledgeMode, PlannerView};
 
 pub use audit::{AuditEvent, AuditLog};
 pub use config::{Algorithm, EngineConfig, RetryPolicy, RunOutcome, RunResult};
-pub use message::{DataMsg, Demand, Message, MsgPool, Payload, PlacementUpdate};
+use message::MsgPool;
+pub use message::{DataMsg, Demand, Message, Payload, PlacementUpdate};
 
 /// Events driving the engine.
 #[derive(Debug)]
@@ -139,7 +139,7 @@ struct DiskJob {
 }
 
 /// Per-node runtime state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct NodeRt {
     host: HostId,
     /// `true` while the operator's state is in transit between hosts.
@@ -190,36 +190,10 @@ struct NodeRt {
 }
 
 impl NodeRt {
-    fn new(host: HostId, n_children: usize) -> Self {
-        NodeRt {
-            host,
-            frozen: false,
-            buffered: Vec::new(),
-            output: None,
-            pending_demand: None,
-            gather_iter: 0,
-            inputs: vec![None; n_children],
-            last_dispatched: 0,
-            later_child: None,
-            later_marks: 0,
-            dispatches_this_epoch: 0,
-            consumer_on_cp: false,
-            on_cp: false,
-            pending_move: None,
-            next_placement: None,
-            seen_proposal_version: 0,
-            suspended: false,
-            disk_requested: 0,
-            pruned: false,
-            respawning: false,
-            last_output: None,
-            composed_iter: 0,
-        }
-    }
-
-    /// Restores this node to the state [`NodeRt::new`] would build,
-    /// reusing the `inputs` and `buffered` buffers. Any boxes still in
-    /// `buffered` must have been harvested by the caller first.
+    /// Initialises this node at `host` with `n_children` empty input
+    /// slots, reusing the `inputs` and `buffered` buffers. A cold node is
+    /// a default node passed through here. Any boxes still in `buffered`
+    /// must have been harvested by the caller first.
     fn reset(&mut self, host: HostId, n_children: usize) {
         debug_assert!(self.buffered.is_empty(), "buffered boxes not harvested");
         self.host = host;
@@ -301,13 +275,16 @@ struct Proposal {
 
 /// The simulation engine for one run.
 ///
-/// Construct with [`Engine::new`] and execute with [`Engine::run`].
+/// [`Experiment::engine_scratch`] builds one and
+/// [`Engine::run_reclaim_scratch`] executes it; [`Experiment::run`] does
+/// both.
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
-/// use wadc_core::engine::{Algorithm, Engine, EngineConfig};
+/// use wadc_core::engine::{Algorithm, EngineConfig, RunScratch};
+/// use wadc_core::experiment::Experiment;
 /// use wadc_net::link::LinkTable;
 /// use wadc_trace::model::BandwidthTrace;
 ///
@@ -315,17 +292,22 @@ struct Proposal {
 /// let links = LinkTable::random_from_pool(5, &pool, 1);
 /// let mut cfg = EngineConfig::new(4, Algorithm::DownloadAll);
 /// cfg.workload.images_per_server = 5; // keep the doctest fast
-/// let result = Engine::new(cfg, links).run();
+/// let exp = Experiment::new(links, cfg);
+/// let engine = exp.engine_scratch(Algorithm::DownloadAll, RunScratch::new());
+/// let (result, warm) = engine.run_reclaim_scratch();
 /// assert!(result.completed);
 /// assert_eq!(result.images_delivered, 5);
+/// assert!(warm.is_warm(), "the next run starts on recycled capacity");
 /// ```
+///
+/// [`Experiment::engine_scratch`]: crate::experiment::Experiment::engine_scratch
+/// [`Experiment::run`]: crate::experiment::Experiment::run
 #[derive(Debug)]
 pub struct Engine {
     cfg: EngineConfig,
     tree: CombinationTree,
     roster: HostRoster,
-    /// Shared so a study config's four runs synthesize it once; an
-    /// engine built standalone owns the only reference.
+    /// Shared by every run of one experiment, which synthesizes it once.
     workload: Arc<Workload>,
     n_iterations: u32,
     queue: EventQueue<Ev>,
@@ -470,6 +452,9 @@ struct ObsState {
 /// never schedules anything, so sampling cannot perturb the run.
 const OBS_SAMPLE_EVERY: SimDuration = SimDuration::from_secs(5);
 
+/// Measurements each host's forecaster keeps per host pair.
+const FORECAST_WINDOW: usize = 16;
+
 /// The traffic class a payload travels as, used both for fault injection
 /// and for per-class accounting.
 fn traffic_kind(payload: &Payload) -> TrafficKind {
@@ -513,20 +498,23 @@ impl Default for LocalScratch {
 /// reusable engine buffer, and capacity hints for the buffers that must
 /// move into the [`RunResult`] (the audit log).
 ///
-/// Thread one through consecutive runs like a [`MsgPool`] — build the
-/// engine with a scratch-taking constructor (e.g.
-/// [`Engine::new_shared_scratch`]), run via
-/// [`Engine::run_reclaim_scratch`], and hand the reclaimed scratch to the
-/// next run. Steady-state runs then allocate near-zero: capacity is
-/// *reset*, never freed, between runs.
+/// Thread one through consecutive runs:
+/// [`Experiment::engine_scratch`] builds the world out of it,
+/// [`Engine::run_reclaim_scratch`] hands it back for the next run, and
+/// [`Experiment::run_scratch`] does both. Steady-state runs then allocate
+/// near-zero: capacity is *reset*, never freed, between runs.
 ///
-/// The contract mirrors [`MsgPool`]'s: reuse is **observationally
-/// inert**. Every recycled structure is reset to exactly the state a cold
-/// construction would produce (clocks, sequence counters and contents —
-/// only spare capacity survives), so a warm-arena run is bit-identical to
-/// a cold run of the same `(seed, config)`; `tests/pool_reuse.rs` and
-/// `tests/sweep_determinism.rs` prove it across algorithms, fault plans,
+/// Reuse is **observationally inert**. Every recycled structure is reset
+/// to exactly the state a cold construction would produce (clocks,
+/// sequence counters and contents — only spare capacity survives), so a
+/// warm-arena run is bit-identical to a cold run of the same
+/// `(seed, config)`, even when the previous world had a different host or
+/// node count; `tests/pool_reuse.rs` and `tests/sweep_determinism.rs`
+/// prove it across algorithms, fault plans, world sizes, rosters,
 /// topology backends and thread counts.
+///
+/// [`Experiment::engine_scratch`]: crate::experiment::Experiment::engine_scratch
+/// [`Experiment::run_scratch`]: crate::experiment::Experiment::run_scratch
 #[derive(Debug, Default)]
 pub struct RunScratch {
     msgs: MsgPool,
@@ -566,167 +554,54 @@ impl RunScratch {
         !self.msgs.is_empty() || !self.nodes.is_empty() || !self.caches.is_empty()
     }
 
-    /// The arena's message pool (e.g. to pre-warm it or inspect it in
-    /// tests).
-    pub fn msgs_mut(&mut self) -> &mut MsgPool {
-        &mut self.msgs
+    /// Returns `true` once a run has parked message boxes on the arena's
+    /// message free list.
+    pub fn has_parked_messages(&self) -> bool {
+        !self.msgs.is_empty()
+    }
+}
+
+/// Sizes a recycled arena vector to `n` entries and initialises each with
+/// `init(index, entry)`. Survivors keep their capacity; missing entries
+/// start as `blank()` and pass through the same `init`, so a cold entry
+/// is initialised exactly like a warm one.
+fn recycle<T>(
+    v: &mut Vec<T>,
+    n: usize,
+    blank: impl FnMut() -> T,
+    mut init: impl FnMut(usize, &mut T),
+) {
+    v.truncate(n);
+    v.resize_with(n, blank);
+    for (i, x) in v.iter_mut().enumerate() {
+        init(i, x);
     }
 }
 
 impl Engine {
-    /// Builds an engine for `cfg` over the given links. The roster is the
-    /// paper's canonical one: one host per server plus a client host, so
-    /// `links` must cover `cfg.n_servers + 1` hosts.
+    /// Builds the world for one run out of `scratch`. `cfg` must already
+    /// pass [`EngineConfig::validate`] and `tree` must be built;
+    /// [`Experiment::engine_scratch`], the only caller, does both. With a
+    /// topology, `links` holds its nominal path-bottleneck traces (what
+    /// the planner, probes and solo transfers see) while concurrent
+    /// transfers over a shared link split its bandwidth max-min fairly.
+    /// `workload` must be what `cfg` generates.
     ///
     /// # Panics
     ///
-    /// Panics if [`EngineConfig::validate`] rejects `cfg` (fewer than two
-    /// servers, empty workload, zero-period adaptive algorithm, malformed
-    /// fault plan or retry policy) or if the link table's host count does
-    /// not match the roster.
-    pub fn new(cfg: EngineConfig, links: LinkTable) -> Self {
-        let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers)
-            .expect("engine shapes are buildable and n_servers >= 2");
-        Engine::new_with_tree(cfg, links, tree)
-    }
-
-    /// Like [`Engine::new`], but with an explicitly constructed combination
-    /// tree — e.g. the bandwidth-aware ordering from
-    /// [`wadc_plan::ordering::bandwidth_aware_binary`]. `cfg.tree_shape`
-    /// is ignored.
+    /// Panics if the tree, roster and links disagree about server and
+    /// host counts, or if a link has no trace.
     ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Engine::new`], or if the
-    /// tree's server count disagrees with `cfg.n_servers`.
-    pub fn new_with_tree(cfg: EngineConfig, links: LinkTable, tree: CombinationTree) -> Self {
-        let roster = HostRoster::one_host_per_server(cfg.n_servers);
-        Engine::new_with_parts(cfg, links, tree, roster)
-    }
-
-    /// Like [`Engine::new`], but reusing a prebuilt workload instead of
-    /// synthesizing one. The workload **must** equal
-    /// `Workload::generate(&cfg.workload, cfg.n_servers, derive_seed(cfg.seed, 1))`
-    /// — the caller (normally [`crate::experiment::Experiment`]) is
-    /// vouching that it was generated from exactly this config, so runs
-    /// stay bit-identical to the self-generating constructors. Within one
-    /// study config the four runs differ only in `cfg.algorithm`, which
-    /// the workload does not depend on, so they can all share one `Arc`.
-    pub fn new_shared(cfg: EngineConfig, links: LinkTable, workload: Arc<Workload>) -> Self {
-        let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers)
-            .expect("engine shapes are buildable and n_servers >= 2");
-        Engine::new_with_tree_shared(cfg, links, tree, workload)
-    }
-
-    /// [`Engine::new_with_tree`] with a prebuilt workload (see
-    /// [`Engine::new_shared`] for the caller's obligation).
-    pub fn new_with_tree_shared(
+    /// [`Experiment::engine_scratch`]: crate::experiment::Experiment::engine_scratch
+    pub(crate) fn build(
         cfg: EngineConfig,
         links: LinkTable,
-        tree: CombinationTree,
-        workload: Arc<Workload>,
-    ) -> Self {
-        let roster = HostRoster::one_host_per_server(cfg.n_servers);
-        Engine::build(cfg, links, tree, roster, Some(workload), None, RunScratch::new())
-    }
-
-    /// [`Engine::new_shared`] drawing all per-run growable state from a
-    /// [`RunScratch`] arena instead of the allocator. Results are
-    /// bit-identical to a cold build; reclaim the warmed arena with
-    /// [`Engine::run_reclaim_scratch`].
-    pub fn new_shared_scratch(
-        cfg: EngineConfig,
-        links: LinkTable,
-        workload: Arc<Workload>,
-        scratch: RunScratch,
-    ) -> Self {
-        let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers)
-            .expect("engine shapes are buildable and n_servers >= 2");
-        let roster = HostRoster::one_host_per_server(cfg.n_servers);
-        Engine::build(cfg, links, tree, roster, Some(workload), None, scratch)
-    }
-
-    /// [`Engine::new_shared_topo`] drawing all per-run growable state
-    /// from a [`RunScratch`] arena (see [`Engine::new_shared_scratch`]).
-    pub fn new_shared_topo_scratch(
-        cfg: EngineConfig,
-        topology: Arc<Topology>,
-        workload: Arc<Workload>,
-        scratch: RunScratch,
-    ) -> Self {
-        let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers)
-            .expect("engine shapes are buildable and n_servers >= 2");
-        let roster = HostRoster::one_host_per_server(cfg.n_servers);
-        let links = nominal_link_table(&topology);
-        Engine::build(cfg, links, tree, roster, Some(workload), Some(topology), scratch)
-    }
-
-    /// [`Engine::new_shared`] over an explicit shared-bottleneck topology
-    /// (see [`wadc_net::topo`]): the link table becomes the topology's
-    /// nominal path-bottleneck traces — what the planner, probes and
-    /// uncontended transfers see — while concurrent transfers crossing a
-    /// shared link split its bandwidth max-min fairly.
-    pub fn new_shared_topo(
-        cfg: EngineConfig,
-        topology: Arc<Topology>,
-        workload: Arc<Workload>,
-    ) -> Self {
-        let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers)
-            .expect("engine shapes are buildable and n_servers >= 2");
-        Engine::new_with_tree_shared_topo(cfg, topology, tree, workload)
-    }
-
-    /// [`Engine::new_shared_topo`] with an explicitly constructed
-    /// combination tree; `cfg.tree_shape` is ignored.
-    pub fn new_with_tree_shared_topo(
-        cfg: EngineConfig,
-        topology: Arc<Topology>,
-        tree: CombinationTree,
-        workload: Arc<Workload>,
-    ) -> Self {
-        let roster = HostRoster::one_host_per_server(cfg.n_servers);
-        let links = nominal_link_table(&topology);
-        Engine::build(
-            cfg,
-            links,
-            tree,
-            roster,
-            Some(workload),
-            Some(topology),
-            RunScratch::new(),
-        )
-    }
-
-    /// The fully general constructor: explicit tree *and* roster. The
-    /// roster may place several servers on one host or bind servers to
-    /// replica hosts chosen by [`crate::replication`]; the link table must
-    /// cover exactly the roster's hosts.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Engine::new`], or if the
-    /// tree/roster/links disagree about server and host counts.
-    pub fn new_with_parts(
-        cfg: EngineConfig,
-        links: LinkTable,
-        tree: CombinationTree,
-        roster: HostRoster,
-    ) -> Self {
-        Engine::build(cfg, links, tree, roster, None, None, RunScratch::new())
-    }
-
-    fn build(
-        cfg: EngineConfig,
-        links: LinkTable,
-        tree: CombinationTree,
-        roster: HostRoster,
-        shared_workload: Option<Arc<Workload>>,
         topology: Option<Arc<Topology>>,
+        tree: CombinationTree,
+        roster: HostRoster,
+        workload: Arc<Workload>,
         scratch: RunScratch,
     ) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("{e}");
-        }
         assert_eq!(
             tree.server_count(),
             cfg.n_servers,
@@ -744,13 +619,6 @@ impl Engine {
         );
         assert!(links.is_complete(), "every link needs a bandwidth trace");
 
-        let workload = shared_workload.unwrap_or_else(|| {
-            Arc::new(Workload::generate(
-                &cfg.workload,
-                cfg.n_servers,
-                derive_seed(cfg.seed, 1),
-            ))
-        });
         let n_iterations = cfg.workload.images_per_server as u32;
         let n_hosts = roster.host_count();
         // Seed stream 4 is reserved for fault injection (1 = workload,
@@ -767,8 +635,8 @@ impl Engine {
         // Acquire all growable state from the arena. Every structure is
         // reset to exactly what a cold construction would build — only
         // spare capacity survives from earlier runs, so results are
-        // bit-identical either way (a cold `RunScratch::new()` makes this
-        // path the plain constructor).
+        // bit-identical either way (a cold `RunScratch::new()` builds
+        // everything fresh).
         let RunScratch {
             msgs: msg_pool,
             mut queue,
@@ -796,34 +664,20 @@ impl Engine {
         } = scratch;
         queue.reset();
         deliver_events.clear();
-        caches.truncate(n_hosts);
-        for c in &mut caches {
-            c.reset(cfg.monitor);
-        }
-        while caches.len() < n_hosts {
-            caches.push(BandwidthCache::new(cfg.monitor));
-        }
-        forecasters.truncate(n_hosts);
-        for f in &mut forecasters {
-            f.reset(16);
-        }
-        while forecasters.len() < n_hosts {
-            forecasters.push(Forecaster::new(16));
-        }
-        cpus.truncate(n_hosts);
-        disks.truncate(n_hosts);
-        for r in &mut cpus {
-            r.reset();
-        }
-        for r in &mut disks {
-            r.reset();
-        }
-        while cpus.len() < n_hosts {
-            cpus.push(Resource::new());
-        }
-        while disks.len() < n_hosts {
-            disks.push(Resource::new());
-        }
+        recycle(
+            &mut caches,
+            n_hosts,
+            || BandwidthCache::new(cfg.monitor),
+            |_, c| c.reset(cfg.monitor),
+        );
+        recycle(
+            &mut forecasters,
+            n_hosts,
+            || Forecaster::new(FORECAST_WINDOW),
+            |_, f| f.reset(FORECAST_WINDOW),
+        );
+        recycle(&mut cpus, n_hosts, Resource::new, |_, r| r.reset());
+        recycle(&mut disks, n_hosts, Resource::new, |_, r| r.reset());
         cpu_current.clear();
         cpu_current.resize(n_hosts, None);
         disk_current.clear();
@@ -887,15 +741,15 @@ impl Engine {
         };
 
         let mut nodes = scratch_nodes;
-        nodes.truncate(tree.nodes().len());
-        for (i, node) in tree.nodes().iter().enumerate() {
-            let host = initial.node_host(&tree, &roster, NodeId::new(i));
-            if i < nodes.len() {
-                nodes[i].reset(host, node.children.len());
-            } else {
-                nodes.push(NodeRt::new(host, node.children.len()));
-            }
-        }
+        recycle(
+            &mut nodes,
+            tree.nodes().len(),
+            NodeRt::default,
+            |i, node| {
+                let host = initial.node_host(&tree, &roster, NodeId::new(i));
+                node.reset(host, tree.nodes()[i].children.len());
+            },
+        );
 
         let (local_mode, epoch_len, extra_candidates) = match cfg.algorithm {
             Algorithm::Local {
@@ -918,13 +772,12 @@ impl Engine {
         let mut spare_vectors = Vec::new();
         let vectors = if local_mode {
             let mut vectors = scratch_vectors;
-            vectors.truncate(n_hosts);
-            for v in &mut vectors {
-                v.assign(initial.sites());
-            }
-            while vectors.len() < n_hosts {
-                vectors.push(LocationVector::new(initial.sites().to_vec()));
-            }
+            recycle(
+                &mut vectors,
+                n_hosts,
+                || LocationVector::new(Vec::new()),
+                |_, v| v.assign(initial.sites()),
+            );
             vectors
         } else {
             spare_vectors = scratch_vectors;
@@ -1280,32 +1133,11 @@ impl Engine {
         }
     }
 
-    /// Seeds the engine's message pool with boxes recycled from an
-    /// earlier run (see [`MsgPool`]). Purely an allocation optimisation:
-    /// results are bit-identical with a cold or warm pool.
-    pub fn adopt_pool(&mut self, pool: MsgPool) {
-        self.msg_pool = pool;
-    }
-
     /// Runs the simulation to completion (or the safety cap) and returns
-    /// the results.
-    pub fn run(self) -> RunResult {
-        self.run_reclaim().0
-    }
-
-    /// [`Engine::run`], additionally handing the message pool back so the
-    /// next run (via [`Engine::adopt_pool`]) starts warm instead of
-    /// re-allocating its message boxes.
-    pub fn run_reclaim(mut self) -> (RunResult, MsgPool) {
-        let result = self.execute();
-        let pool = std::mem::take(&mut self.msg_pool);
-        (result, pool)
-    }
-
-    /// [`Engine::run`], additionally reclaiming the full [`RunScratch`]
-    /// arena — message pool, event-queue slab, per-node and per-host
-    /// state, every reusable buffer — so the next run built with a
-    /// scratch-taking constructor starts with warmed capacity everywhere.
+    /// the results together with the [`RunScratch`] arena — message pool,
+    /// event-queue slab, per-node and per-host state, every reusable
+    /// buffer — so the next run built from it starts with warmed capacity
+    /// everywhere.
     pub fn run_reclaim_scratch(mut self) -> (RunResult, RunScratch) {
         let result = self.execute();
         let scratch = self.reclaim(result.audit.len());

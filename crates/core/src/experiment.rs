@@ -12,7 +12,8 @@ use wadc_app::image::SizeDistribution;
 use wadc_app::workload::{Workload, WorkloadParams};
 use wadc_net::link::LinkTable;
 use wadc_net::topo::nominal_link_table;
-use wadc_plan::tree::TreeShape;
+use wadc_plan::placement::HostRoster;
+use wadc_plan::tree::{CombinationTree, TreeShape};
 use wadc_sim::rng::{derive_seed, derive_seed2};
 use wadc_sim::time::SimDuration;
 use wadc_topo::graph::Topology;
@@ -22,14 +23,15 @@ use wadc_trace::study::BandwidthStudy;
 use wadc_trace::synth::{generate, SynthParams};
 
 use crate::algorithms::one_shot::Objective;
-use crate::engine::{Algorithm, Engine, EngineConfig, MsgPool, RunResult, RunScratch};
+use crate::engine::{Algorithm, Engine, EngineConfig, RunResult, RunScratch};
 use crate::knowledge::KnowledgeMode;
 
 /// Stream labels for seed derivation (arbitrary, fixed constants).
 const STREAM_LINKS: u64 = 10;
 const STREAM_WORKLOAD: u64 = 11;
 
-/// One fixed world (links + workload) to run algorithms against.
+/// One fixed world (links + workload) to run algorithms against: the only
+/// way to build an [`Engine`] is [`Experiment::engine_scratch`].
 ///
 /// # Examples
 ///
@@ -50,6 +52,12 @@ pub struct Experiment {
     /// path-bottleneck traces (planner/probe view) and concurrent
     /// transfers over a shared link split its bandwidth max-min fairly.
     topology: Option<Arc<Topology>>,
+    /// An explicitly constructed combination tree; `None` builds the
+    /// template's `tree_shape`.
+    tree: Option<CombinationTree>,
+    /// An explicit host roster; `None` is the paper's one host per server
+    /// plus the client.
+    roster: Option<HostRoster>,
     /// Lazily synthesized once per experiment and shared (`Arc`) across
     /// every run of it: the workload depends only on the template's
     /// workload params, server count and seed — all fixed here — so the
@@ -67,6 +75,8 @@ impl Experiment {
             links,
             template,
             topology: None,
+            tree: None,
+            roster: None,
             workload: OnceLock::new(),
         }
     }
@@ -220,6 +230,25 @@ impl Experiment {
         self
     }
 
+    /// Sets an explicitly constructed combination tree (builder-style),
+    /// e.g. the bandwidth-aware ordering from
+    /// [`wadc_plan::ordering::bandwidth_aware_binary`]. The template's
+    /// `tree_shape` is then ignored; the tree must cover exactly the
+    /// template's servers.
+    pub fn with_tree(mut self, tree: CombinationTree) -> Self {
+        self.tree = Some(tree);
+        self
+    }
+
+    /// Sets an explicit host roster (builder-style). The roster may place
+    /// several servers on one host or bind servers to replica hosts chosen
+    /// by [`crate::replication`]; the link table must cover exactly the
+    /// roster's hosts.
+    pub fn with_roster(mut self, roster: HostRoster) -> Self {
+        self.roster = Some(roster);
+        self
+    }
+
     /// Sets the knowledge mode (builder-style).
     pub fn with_knowledge(mut self, knowledge: KnowledgeMode) -> Self {
         self.template.knowledge = knowledge;
@@ -273,33 +302,35 @@ impl Experiment {
         self
     }
 
-    /// Builds the engine for one run of `algorithm`, routing through the
-    /// topology model when one is set.
-    fn engine_for(&self, algorithm: Algorithm) -> Engine {
+    /// Checks that `algorithm` can run on this world: the run's
+    /// configuration passes [`EngineConfig::validate`] and its combination
+    /// tree can be built.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first problem found, the message
+    /// [`Experiment::engine_scratch`] would panic with.
+    pub fn validate(&self, algorithm: Algorithm) -> Result<(), String> {
+        self.run_spec(algorithm).map(drop)
+    }
+
+    /// The configuration and combination tree of one run of `algorithm`,
+    /// validated before the tree is built.
+    fn run_spec(&self, algorithm: Algorithm) -> Result<(EngineConfig, CombinationTree), String> {
         let mut cfg = self.template.clone();
         cfg.algorithm = algorithm;
-        match &self.topology {
-            Some(t) => Engine::new_shared_topo(cfg, t.clone(), self.shared_workload()),
-            None => Engine::new_shared(cfg, self.links.clone(), self.shared_workload()),
-        }
+        cfg.validate()?;
+        let tree = match &self.tree {
+            Some(tree) => tree.clone(),
+            None => CombinationTree::build(cfg.tree_shape, cfg.n_servers)
+                .map_err(|e| format!("engine config: {e}"))?,
+        };
+        Ok((cfg, tree))
     }
 
-    /// Runs `algorithm` against this world.
+    /// Runs `algorithm` against this world on a cold arena.
     pub fn run(&self, algorithm: Algorithm) -> RunResult {
-        self.engine_for(algorithm).run()
-    }
-
-    /// [`Experiment::run`] with a caller-owned message pool: the engine
-    /// draws its message boxes from `pool` and hands them back when the
-    /// run ends, so a sequence of runs (e.g. the four runs of one study
-    /// configuration) reaches a zero-allocation steady state on the send
-    /// path. Results are bit-identical to [`Experiment::run`].
-    pub fn run_pooled(&self, algorithm: Algorithm, pool: &mut MsgPool) -> RunResult {
-        let mut engine = self.engine_for(algorithm);
-        engine.adopt_pool(std::mem::take(pool));
-        let (result, reclaimed) = engine.run_reclaim();
-        *pool = reclaimed;
-        result
+        self.run_scratch(algorithm, &mut RunScratch::new())
     }
 
     /// [`Experiment::run`] with a caller-owned [`RunScratch`] arena: the
@@ -316,50 +347,41 @@ impl Experiment {
         result
     }
 
-    /// Builds (without running) the engine for one run of `algorithm`,
-    /// drawing growable state from `scratch`. The world-setup microbench
-    /// measures this alone; normal callers want [`Experiment::run_scratch`].
-    pub fn engine_scratch(&self, algorithm: Algorithm, scratch: RunScratch) -> Engine {
-        let mut cfg = self.template.clone();
-        cfg.algorithm = algorithm;
-        match &self.topology {
-            Some(t) => {
-                Engine::new_shared_topo_scratch(cfg, t.clone(), self.shared_workload(), scratch)
-            }
-            None => {
-                Engine::new_shared_scratch(cfg, self.links.clone(), self.shared_workload(), scratch)
-            }
-        }
-    }
-
     /// Runs `algorithm` with an observability recorder attached (see
     /// [`wadc_obs`]). Instrumentation is purely passive, so the result —
     /// including its digest — is identical to [`Experiment::run`].
     pub fn run_observed(&self, algorithm: Algorithm, obs: wadc_obs::recorder::Obs) -> RunResult {
-        let mut engine = self.engine_for(algorithm);
+        let mut engine = self.engine_scratch(algorithm, RunScratch::new());
         engine.attach_obs(obs);
-        engine.run()
+        engine.run_reclaim_scratch().0
     }
 
-    /// Runs `algorithm` with an explicitly constructed combination tree
-    /// (e.g. a bandwidth-aware ordering) instead of the template's shape.
-    pub fn run_with_tree(
-        &self,
-        algorithm: Algorithm,
-        tree: wadc_plan::tree::CombinationTree,
-    ) -> RunResult {
-        let mut cfg = self.template.clone();
-        cfg.algorithm = algorithm;
-        match &self.topology {
-            Some(t) => {
-                Engine::new_with_tree_shared_topo(cfg, t.clone(), tree, self.shared_workload())
-                    .run()
-            }
-            None => {
-                Engine::new_with_tree_shared(cfg, self.links.clone(), tree, self.shared_workload())
-                    .run()
-            }
-        }
+    /// Builds (without running) the world for one run of `algorithm`,
+    /// drawing its growable state from `scratch`; run it with
+    /// [`Engine::run_reclaim_scratch`]. Every engine is built here, over
+    /// the topology model when one is set. The world-setup microbench
+    /// measures this alone; normal callers want [`Experiment::run_scratch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`Experiment::validate`] if `algorithm`
+    /// cannot run on this world, or if the tree, roster and links disagree
+    /// about server and host counts.
+    pub fn engine_scratch(&self, algorithm: Algorithm, scratch: RunScratch) -> Engine {
+        let (cfg, tree) = self.run_spec(algorithm).unwrap_or_else(|e| panic!("{e}"));
+        let roster = self
+            .roster
+            .clone()
+            .unwrap_or_else(|| HostRoster::one_host_per_server(cfg.n_servers));
+        Engine::build(
+            cfg,
+            self.links.clone(),
+            self.topology.clone(),
+            tree,
+            roster,
+            self.shared_workload(),
+            scratch,
+        )
     }
 }
 
@@ -453,27 +475,21 @@ mod tests {
     }
 
     #[test]
-    fn shared_workload_matches_self_generated() {
-        // The experiment hands every engine its cached Arc<Workload>; an
-        // engine built directly regenerates it. Same digest either way.
-        let exp = Experiment::quick(4, 21);
-        let shared = exp.run(Algorithm::OneShot);
-        let mut cfg = exp.template().clone();
-        cfg.algorithm = Algorithm::OneShot;
-        let fresh = Engine::new(cfg, exp.links().clone()).run();
-        assert_eq!(shared.digest(), fresh.digest());
-    }
-
-    #[test]
-    fn pooled_runs_match_cold_runs() {
+    fn validate_names_the_problem_before_any_world_is_built() {
         let exp = Experiment::quick(4, 22);
-        let mut pool = MsgPool::new();
-        let warmup = exp.run_pooled(Algorithm::OneShot, &mut pool);
-        assert!(!pool.is_empty(), "a completed run parks its messages");
-        let warm = exp.run_pooled(Algorithm::OneShot, &mut pool);
-        let cold = exp.run(Algorithm::OneShot);
-        assert_eq!(warmup.digest(), cold.digest());
-        assert_eq!(warm.digest(), cold.digest());
+        assert_eq!(exp.validate(Algorithm::OneShot), Ok(()));
+        let zero_period = Algorithm::Global {
+            period: SimDuration::ZERO,
+        };
+        assert!(exp.validate(zero_period).unwrap_err().contains("zero"));
+        let mut no_images = exp.clone();
+        no_images.template_mut().workload.images_per_server = 0;
+        assert!(no_images.validate(Algorithm::DownloadAll).is_err());
+        let custom = exp.with_tree_shape(TreeShape::Custom);
+        assert!(custom
+            .validate(Algorithm::DownloadAll)
+            .unwrap_err()
+            .contains("custom"));
     }
 
     #[test]
@@ -505,16 +521,11 @@ mod tests {
     }
 
     #[test]
-    fn topo_runs_are_deterministic_and_pool_inert() {
+    fn topo_runs_are_deterministic() {
         let exp = Experiment::quick_topo(4, 5);
         let a = exp.run(Algorithm::OneShot);
         let b = exp.run(Algorithm::OneShot);
         assert_eq!(a.digest(), b.digest());
-        let mut pool = MsgPool::new();
-        let pooled = exp.run_pooled(Algorithm::OneShot, &mut pool);
-        let warm = exp.run_pooled(Algorithm::OneShot, &mut pool);
-        assert_eq!(pooled.digest(), a.digest());
-        assert_eq!(warm.digest(), a.digest());
     }
 
     #[test]

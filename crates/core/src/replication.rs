@@ -270,7 +270,8 @@ mod tests {
 
     #[test]
     fn end_to_end_run_with_replica_bindings() {
-        use crate::engine::{Algorithm, Engine, EngineConfig};
+        use crate::engine::{Algorithm, EngineConfig};
+        use crate::experiment::Experiment;
         use std::sync::Arc;
         use wadc_app::image::SizeDistribution;
         use wadc_app::workload::WorkloadParams;
@@ -309,7 +310,10 @@ mod tests {
                 aspect: 1.0,
             },
         });
-        let r = Engine::new_with_parts(cfg, links, tree, plan.roster).run();
+        let r = Experiment::new(links, cfg)
+            .with_tree(tree)
+            .with_roster(plan.roster)
+            .run(Algorithm::OneShot);
         assert!(r.completed);
         assert_eq!(r.images_delivered, 4);
         // Thanks to the replica, the slow host never carries an image.

@@ -12,14 +12,14 @@
 //! - **Sharding** is a single shared atomic work index. Workers steal the
 //!   next unclaimed item whenever they finish one, so a slow item never
 //!   idles the other cores (no static chunking to go unbalanced).
-//! - **Per-worker state** (a `MsgPool`, a tracer, scratch buffers) is
-//!   built *inside* each worker thread by a caller-supplied factory, so
-//!   it needs neither `Send` nor synchronization. Correctness contract:
-//!   worker state must be observationally inert — a job's result may
-//!   depend only on its index, never on which worker ran it or what that
-//!   worker ran before. (The engine's `MsgPool` satisfies this by
-//!   construction; `tests/pool_reuse.rs` and `tests/sweep_determinism.rs`
-//!   prove it.)
+//! - **Per-worker state** (a `RunScratch` run arena, a tracer, scratch
+//!   buffers) is built *inside* each worker thread by a caller-supplied
+//!   factory, so it needs neither `Send` nor synchronization. Correctness
+//!   contract: worker state must be observationally inert — a job's
+//!   result may depend only on its index, never on which worker ran it or
+//!   what that worker ran before. (The engine's `RunScratch` satisfies
+//!   this by construction; `tests/pool_reuse.rs` and
+//!   `tests/sweep_determinism.rs` prove it.)
 //! - **The merge** buffers each worker's `(index, result)` pairs and
 //!   writes them into an index-addressed table after joining, so results
 //!   arrive in configuration order no matter who finished first.

@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use wadc_app::image::SizeDistribution;
 use wadc_app::workload::WorkloadParams;
-use wadc_core::engine::{Algorithm, Engine, EngineConfig};
+use wadc_core::engine::{Algorithm, EngineConfig, RunResult};
+use wadc_core::experiment::Experiment;
 use wadc_net::link::LinkTable;
 use wadc_plan::ids::HostId;
 use wadc_sim::time::{SimDuration, SimTime};
@@ -39,6 +40,12 @@ fn tiny_workload(images: usize) -> WorkloadParams {
     }
 }
 
+/// Runs `cfg`'s algorithm over `links`.
+fn run_cfg(cfg: EngineConfig, links: LinkTable) -> RunResult {
+    let algorithm = cfg.algorithm;
+    Experiment::new(links, cfg).run(algorithm)
+}
+
 /// Two servers, download-all, one image each, 8192 B/s everywhere.
 ///
 /// Hand-computed timeline (microseconds):
@@ -58,7 +65,7 @@ fn tiny_workload(images: usize) -> WorkloadParams {
 fn two_server_download_all_timeline_is_exact() {
     let mut cfg = EngineConfig::new(2, Algorithm::DownloadAll).with_workload(tiny_workload(1));
     cfg.seed = 7;
-    let result = Engine::new(cfg, constant_links(3, 8192.0)).run();
+    let result = run_cfg(cfg, constant_links(3, 8192.0));
     assert!(result.completed);
     assert_eq!(result.images_delivered, 1);
     assert_eq!(
@@ -83,7 +90,7 @@ fn download_all_scales_by_nic_serialisation() {
     let run = |n: usize| {
         let mut cfg = EngineConfig::new(n, Algorithm::DownloadAll).with_workload(tiny_workload(1));
         cfg.seed = 7;
-        Engine::new(cfg, constant_links(n + 1, 8192.0)).run()
+        run_cfg(cfg, constant_links(n + 1, 8192.0))
     };
     let two = run(2);
     let four = run(4);
@@ -108,7 +115,7 @@ fn download_all_scales_by_nic_serialisation() {
 fn pipeline_reaches_nic_bound_steady_state() {
     let mut cfg = EngineConfig::new(2, Algorithm::DownloadAll).with_workload(tiny_workload(6));
     cfg.seed = 7;
-    let result = Engine::new(cfg, constant_links(3, 8192.0)).run();
+    let result = run_cfg(cfg, constant_links(3, 8192.0));
     assert!(result.completed);
     let arrivals = &result.arrivals;
     assert_eq!(arrivals.len(), 6);
@@ -133,7 +140,7 @@ fn bandwidth_scaling_matches_closed_form() {
     let run = |bw: f64| {
         let mut cfg = EngineConfig::new(2, Algorithm::DownloadAll).with_workload(tiny_workload(1));
         cfg.seed = 7;
-        Engine::new(cfg, constant_links(3, bw)).run()
+        run_cfg(cfg, constant_links(3, bw))
     };
     let completion = |bw: f64| {
         // demands serialised, then data serialised, then compute.
@@ -160,7 +167,7 @@ fn disk_time_surfaces_on_fast_networks() {
     let mut cfg = EngineConfig::new(2, Algorithm::DownloadAll).with_workload(tiny_workload(1));
     cfg.seed = 7;
     let fast = 1e9; // effectively instant transfers
-    let result = Engine::new(cfg, constant_links(3, fast)).run();
+    let result = run_cfg(cfg, constant_links(3, fast));
     let expected = {
         let demand = 0.05 + 256.0 / fast;
         let data = 0.05 + 4352.0 / fast;

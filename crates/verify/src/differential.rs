@@ -15,7 +15,7 @@
 
 use wadc_core::algorithms::one_shot::improve_placement_by;
 use wadc_core::engine::audit::AuditEvent;
-use wadc_core::engine::{Algorithm, Engine, RunResult};
+use wadc_core::engine::{Algorithm, RunResult};
 use wadc_core::experiment::Experiment;
 use wadc_core::knowledge::KnowledgeMode;
 use wadc_plan::critical_path::pipeline_estimate;
@@ -70,20 +70,19 @@ pub fn relabel_event(event: &AuditEvent, perm: &[usize]) -> AuditEvent {
 /// `perm[s]` (likewise the client), so the run is isomorphic to the
 /// original.
 pub fn run_relabeled(exp: &Experiment, algorithm: Algorithm, perm: &[usize]) -> RunResult {
-    let mut cfg = exp.template().clone();
-    cfg.algorithm = algorithm;
-    let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers)
-        .expect("template tree shape must be buildable");
-    let base = HostRoster::one_host_per_server(cfg.n_servers);
+    let n_servers = exp.template().n_servers;
+    let base = HostRoster::one_host_per_server(n_servers);
     let roster = HostRoster::new(
         base.host_count(),
         HostId::new(perm[base.client().index()]),
-        (0..cfg.n_servers)
+        (0..n_servers)
             .map(|s| HostId::new(perm[base.server_host(s).index()]))
             .collect(),
     )
     .expect("permutation stays in range");
-    Engine::new_with_parts(cfg, exp.links().relabeled(perm), tree, roster).run()
+    Experiment::new(exp.links().relabeled(perm), exp.template().clone())
+        .with_roster(roster)
+        .run(algorithm)
 }
 
 /// Checks that relabeling the hosts of `exp` by `perm` preserves the run

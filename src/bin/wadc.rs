@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use wadc::core::algorithms::one_shot::{one_shot_placement, Objective};
-use wadc::core::engine::{Algorithm, AuditEvent};
+use wadc::core::engine::{Algorithm, AuditEvent, EngineConfig};
 use wadc::core::experiment::Experiment;
 use wadc::core::gauging;
 use wadc::core::knowledge::KnowledgeMode;
@@ -49,7 +49,8 @@ fn usage() -> ! {
 
 run    simulate one configuration under one algorithm
          --servers N (8)  --algorithm download-all|one-shot|global|local (global)
-         --period-mins M (10)  --shape binary|left-deep (binary)
+         --period-mins M (10)  --extra-candidates K (0, local only)
+         --shape binary|left-deep (binary)
          --seed S (1998)  --config I (0)  --images N (180)  --audit
          --threads T (auto): run the download-all baseline and the
            algorithm concurrently (ignored when tracing); 0 or more
@@ -63,7 +64,9 @@ run    simulate one configuration under one algorithm
          --jsonl-out PATH (span/sample stream, one JSON object per line)
 report run one configuration with tracing and print a human-readable
        run report (adaptation, residency, links, monitoring, faults)
-         plus every `run` flag (--servers, --algorithm, --seed, ...)
+         takes the world flags of `run` (--servers, --algorithm,
+         --period-mins, --extra-candidates, --shape, --seed, --config,
+         --images, --topology, --knowledge)
 study  run a multi-configuration comparison of all four algorithms
          on the work-stealing sweep driver
          --configs N (50)  --servers N (8)  --seed S (1998)  --threads T (auto)
@@ -90,7 +93,7 @@ chaos  simulate one configuration under an injected fault plan and report
          --outages N (0)  --outage-mins M (5)
          --crash-host H (none): permanently kill host H (the client is
            host <servers>)  --crash-at-secs S (30)
-         plus every `run` flag (--servers, --algorithm, --seed, ...)
+         plus the world flags of `run` (see `report`)
        or run a randomized chaos soak on the quick world instead:
          --soak N: run N seed-derived random fault plans (crashes,
            outages, blackouts, loss) across all four algorithms; every
@@ -98,18 +101,92 @@ chaos  simulate one configuration under an injected fault plan and report
            checker and end with an explicit outcome
          --shrink: on failure, reduce the plan to a minimal reproduction
          --servers N (4)  --seed S (1998)  --threads T (2, not clamped:
-           the report is thread-count-invariant by construction)"
+           the report is thread-count-invariant by construction)
+
+Unknown flags and inputs no run can take exit 2 with the reason."
     );
     std::process::exit(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// The flags naming the world and algorithm of one run; `run`, `report`
+/// and `chaos` take them all.
+const WORLD_FLAGS: &[&str] = &[
+    "--servers",
+    "--algorithm",
+    "--period-mins",
+    "--extra-candidates",
+    "--shape",
+    "--seed",
+    "--config",
+    "--images",
+    "--topology",
+    "--knowledge",
+];
+const RUN_FLAGS: &[&str] = &[
+    "--threads",
+    "--audit",
+    "--json",
+    "--trace-out",
+    "--jsonl-out",
+];
+const STUDY_FLAGS: &[&str] = &[
+    "--configs",
+    "--servers",
+    "--seed",
+    "--threads",
+    "--topology",
+    "--knowledge",
+    "--gauge-analysis",
+];
+const TRACE_FLAGS: &[&str] = &["--pair", "--seed", "--window-hours"];
+const PLAN_FLAGS: &[&str] = &["--servers", "--seed", "--config", "--objective"];
+const VERIFY_FLAGS: &[&str] = &[
+    "--quick",
+    "--seed",
+    "--print-golden",
+    "--print-golden-topo",
+    "--threads",
+];
+const CHAOS_FLAGS: &[&str] = &[
+    "--loss",
+    "--probe-blackhole",
+    "--move-failure",
+    "--outages",
+    "--outage-mins",
+    "--crash-host",
+    "--crash-at-secs",
+    "--soak",
+    "--shrink",
+    "--threads",
+];
+
+/// Prints why the input cannot run and exits 2, before anything runs.
+fn reject(reason: &str) -> ! {
+    eprintln!("error: {reason}");
+    std::process::exit(2)
+}
+
+/// Rejects a world `algorithm` cannot run on: a configuration
+/// `EngineConfig::validate` refuses or a tree that cannot be built.
+fn check_world(exp: &Experiment, algorithm: Algorithm) {
+    if let Err(e) = exp.validate(algorithm) {
+        reject(&e);
+    }
+}
+
+/// Parses `--key value` pairs and boolean flags, rejecting any flag that
+/// is not in one of `allowed` (the subcommand's flag lists).
+fn parse_flags(cmd: &str, args: &[String], allowed: &[&[&str]]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i].clone();
         if !key.starts_with("--") {
             eprintln!("unexpected argument {key}");
+            usage();
+        }
+        if !allowed.iter().any(|list| list.contains(&key.as_str())) {
+            eprintln!("unknown flag {key} for `wadc {cmd}`");
             usage();
         }
         if key == "--audit"
@@ -245,6 +322,7 @@ fn build_experiment(flags: &HashMap<String, String>) -> Experiment {
 fn cmd_run(flags: HashMap<String, String>) {
     let exp = build_experiment(&flags);
     let algorithm = algorithm_from(&flags);
+    check_world(&exp, algorithm);
     let json_out = flags.contains_key("--json");
     let tracing = flags.contains_key("--trace-out") || flags.contains_key("--jsonl-out");
     if !json_out {
@@ -416,6 +494,7 @@ fn cmd_run(flags: HashMap<String, String>) {
 fn cmd_report(flags: HashMap<String, String>) {
     let exp = build_experiment(&flags);
     let algorithm = algorithm_from(&flags);
+    check_world(&exp, algorithm);
     let (obs, tracer) = Tracer::install();
     let r = exp.run_observed(algorithm, obs);
     print!("{}", render_report(&tracer.borrow()));
@@ -438,6 +517,12 @@ fn cmd_study(flags: HashMap<String, String>) {
     params.n_servers = flag(&flags, "--servers", 8usize);
     params.topology = topology_from(&flags);
     params.knowledge = knowledge_from(&flags);
+    if params.n_configs == 0 {
+        reject("--configs must be at least 1: a study of no configurations compares nothing");
+    }
+    if let Err(e) = EngineConfig::new(params.n_servers, Algorithm::DownloadAll).validate() {
+        reject(&e);
+    }
     let threads = resolve_threads(&flags);
     println!(
         "running {} configurations x 4 algorithms ({} servers, {} threads, knowledge {}{})...",
@@ -523,9 +608,9 @@ fn cmd_plan(flags: HashMap<String, String>) {
             usage()
         }
     };
+    let tree = CombinationTree::complete_binary(servers).unwrap_or_else(|e| reject(&e.to_string()));
     let study = BandwidthStudy::default_study(seed);
     let exp = Experiment::from_study(servers, &study, SimDuration::from_hours(24), config, seed);
-    let tree = CombinationTree::complete_binary(servers).expect("servers >= 2");
     let roster = HostRoster::one_host_per_server(servers);
     let model = CostModel::paper_defaults();
     let view = exp.links().oracle_at(SimTime::ZERO);
@@ -736,6 +821,7 @@ fn cmd_chaos_soak(flags: &HashMap<String, String>, n_plans: usize) {
     // feature, not a mistake to clamp away.
     let threads = flag(flags, "--threads", 2usize).max(1);
     let shrink = flags.contains_key("--shrink");
+    check_world(&Experiment::quick(servers, seed), Algorithm::DownloadAll);
     println!(
         "chaos soak: {n_plans} random fault plans on the {servers}-server quick world \
          (seed {seed}, {threads} threads)..."
@@ -765,6 +851,7 @@ fn cmd_chaos(flags: HashMap<String, String>) {
     }
     let mut exp = build_experiment(&flags);
     let algorithm = algorithm_from(&flags);
+    check_world(&exp, algorithm);
     let loss = flag(&flags, "--loss", 0.05f64);
     let probe_blackhole = flag(&flags, "--probe-blackhole", 0.0f64);
     let move_failure = flag(&flags, "--move-failure", 0.0f64);
@@ -841,15 +928,16 @@ fn main() {
     let Some((cmd, rest)) = argv.split_first() else {
         usage()
     };
-    let flags = parse_flags(rest);
-    match cmd.as_str() {
-        "run" => cmd_run(flags),
-        "report" => cmd_report(flags),
-        "study" => cmd_study(flags),
-        "trace" => cmd_trace(flags),
-        "plan" => cmd_plan(flags),
-        "verify" => cmd_verify(flags),
-        "chaos" => cmd_chaos(flags),
+    type Command = fn(HashMap<String, String>);
+    let (command, allowed): (Command, &[&[&str]]) = match cmd.as_str() {
+        "run" => (cmd_run, &[WORLD_FLAGS, RUN_FLAGS]),
+        "report" => (cmd_report, &[WORLD_FLAGS]),
+        "study" => (cmd_study, &[STUDY_FLAGS]),
+        "trace" => (cmd_trace, &[TRACE_FLAGS]),
+        "plan" => (cmd_plan, &[PLAN_FLAGS]),
+        "verify" => (cmd_verify, &[VERIFY_FLAGS]),
+        "chaos" => (cmd_chaos, &[WORLD_FLAGS, CHAOS_FLAGS]),
         _ => usage(),
-    }
+    };
+    command(parse_flags(cmd, rest, allowed));
 }

@@ -1,0 +1,79 @@
+//! The `wadc` command line refuses what it cannot run: a misspelt flag or
+//! an input no run can take exits 2 with the reason on standard error,
+//! before any simulation starts, instead of running with defaults or
+//! panicking inside the engine.
+
+use std::process::{Command, Output};
+
+fn wadc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_wadc"))
+        .args(args)
+        .output()
+        .expect("the wadc binary runs")
+}
+
+/// Asserts that `wadc args` exits 2, names `reason` on standard error and
+/// printed nothing on standard output (so nothing ran).
+fn assert_rejected(args: &[&str], reason: &str) {
+    let out = wadc(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "wadc {args:?} should exit 2; stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains(reason),
+        "wadc {args:?} should say {reason:?}; stderr: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "wadc {args:?} started work before rejecting: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn every_subcommand_rejects_flags_it_does_not_take() {
+    for args in [
+        &["run", "--sever", "4", "--images", "2"][..],
+        &["report", "--algoritm", "one-shot"],
+        &["study", "--confgs", "3"],
+        &["trace", "--window", "6"],
+        &["plan", "--objectve", "contended"],
+        &["verify", "--quik"],
+        &["chaos", "--los", "0.2"],
+        // Real flags, but of another subcommand.
+        &["run", "--configs", "3"],
+        &["report", "--audit"],
+    ] {
+        let flag = args[1];
+        assert_rejected(args, &format!("unknown flag {flag}"));
+    }
+}
+
+#[test]
+fn inputs_no_run_can_take_exit_2_with_the_reason() {
+    for (args, reason) in [
+        (&["run", "--servers", "1"][..], "at least two servers"),
+        (&["run", "--images", "0"], "zero-image workload"),
+        (&["run", "--period-mins", "0"], "zero re-planning period"),
+        (&["report", "--servers", "1"], "at least two servers"),
+        (&["plan", "--servers", "0"], "at least two servers"),
+        (&["study", "--configs", "0"], "--configs must be at least 1"),
+        (&["chaos", "--servers", "1"], "at least two servers"),
+    ] {
+        assert_rejected(args, reason);
+    }
+}
+
+#[test]
+fn valid_flags_still_run() {
+    let out = wadc(&["trace", "--pair", "0,1", "--window-hours", "1"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("KB/s"));
+}

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use wadc::app::image::SizeDistribution;
 use wadc::app::workload::WorkloadParams;
-use wadc::core::engine::{Algorithm, AuditEvent, Engine, EngineConfig};
+use wadc::core::engine::{Algorithm, AuditEvent, EngineConfig, RunResult};
+use wadc::core::experiment::Experiment;
 use wadc::net::faults::FaultPlan;
 use wadc::net::link::LinkTable;
 use wadc::plan::ids::HostId;
@@ -42,6 +43,12 @@ fn collapsing_links(collapse_at: f64) -> LinkTable {
     links
 }
 
+/// Runs `cfg`'s algorithm over `links`.
+fn run_cfg(cfg: EngineConfig, links: LinkTable) -> RunResult {
+    let algorithm = cfg.algorithm;
+    Experiment::new(links, cfg).run(algorithm)
+}
+
 #[test]
 fn all_algorithms_survive_a_mid_run_bandwidth_collapse() {
     for alg in [
@@ -57,7 +64,7 @@ fn all_algorithms_survive_a_mid_run_bandwidth_collapse() {
     ] {
         let mut cfg = EngineConfig::new(4, alg).with_workload(tiny_workload(30));
         cfg.seed = 3;
-        let r = Engine::new(cfg, collapsing_links(10.0)).run();
+        let r = run_cfg(cfg, collapsing_links(10.0));
         assert!(r.completed, "{} wedged after the collapse", alg.name());
         assert_eq!(r.images_delivered, 30);
     }
@@ -71,7 +78,7 @@ fn global_reroutes_around_the_collapse_and_beats_static() {
     let run = |alg: Algorithm| {
         let mut cfg = EngineConfig::new(4, alg).with_workload(tiny_workload(40));
         cfg.seed = 5;
-        Engine::new(cfg, collapsing_links(15.0)).run()
+        run_cfg(cfg, collapsing_links(15.0))
     };
     let one_shot = run(Algorithm::OneShot);
     let global = run(Algorithm::Global {
@@ -106,7 +113,7 @@ fn floor_bandwidth_everywhere_is_survivable() {
     }
     let mut cfg = EngineConfig::new(2, Algorithm::OneShot).with_workload(tiny_workload(3));
     cfg.seed = 1;
-    let r = Engine::new(cfg, links).run();
+    let r = run_cfg(cfg, links);
     assert!(r.completed);
     assert_eq!(r.images_delivered, 3);
 }
@@ -125,7 +132,7 @@ fn safety_cap_aborts_hopeless_runs() {
     let mut cfg = EngineConfig::new(2, Algorithm::DownloadAll).with_workload(tiny_workload(100));
     cfg.seed = 1;
     cfg.max_sim_time = SimDuration::from_mins(10);
-    let r = Engine::new(cfg, links).run();
+    let r = run_cfg(cfg, links);
     assert!(!r.completed, "cap must fire");
     assert!(r.images_delivered < 100);
 }
@@ -150,7 +157,7 @@ fn permanent_total_collapse_cannot_wedge_any_algorithm() {
         cfg.seed = 3;
         cfg.max_sim_time = SimDuration::from_mins(10);
         cfg.faults = FaultPlan::none().outage_all(SimTime::from_secs(5), SimTime::MAX);
-        let r = Engine::new(cfg.clone(), collapsing_links(10.0)).run();
+        let r = run_cfg(cfg.clone(), collapsing_links(10.0));
         assert!(
             !r.completed,
             "{} finished through a dead network",
@@ -182,7 +189,7 @@ fn finite_host_blackout_recovers_and_completes() {
         SimTime::from_secs(10),
         SimTime::from_secs(60),
     );
-    let r = Engine::new(cfg.clone(), collapsing_links(10.0)).run();
+    let r = run_cfg(cfg.clone(), collapsing_links(10.0));
     assert!(r.completed, "blackout must only delay, not kill, the run");
     assert_eq!(r.images_delivered, 20);
     assert_clean(&cfg, &r);
@@ -203,7 +210,7 @@ fn failed_moves_roll_back_and_the_run_still_completes() {
     .with_workload(tiny_workload(40));
     cfg.seed = 5;
     cfg.faults = FaultPlan::none().with_move_failure(1.0);
-    let r = Engine::new(cfg.clone(), collapsing_links(15.0)).run();
+    let r = run_cfg(cfg.clone(), collapsing_links(15.0));
     assert!(r.completed, "rollbacks must not wedge the computation");
     assert_eq!(r.images_delivered, 40);
     let rollbacks = r
@@ -238,7 +245,7 @@ fn lossy_runs_reproduce_bit_for_bit() {
         .with_workload(tiny_workload(20));
         cfg.seed = 7;
         cfg.faults = FaultPlan::none().with_loss(0.1).with_probe_blackhole(0.3);
-        Engine::new(cfg, collapsing_links(10.0)).run()
+        run_cfg(cfg, collapsing_links(10.0))
     };
     let a = run();
     let b = run();
@@ -278,7 +285,7 @@ fn asymmetric_cliff_traces_do_not_break_monitoring() {
     )
     .with_workload(tiny_workload(25));
     cfg.seed = 9;
-    let r = Engine::new(cfg, links).run();
+    let r = run_cfg(cfg, links);
     assert!(r.completed);
     assert_eq!(r.images_delivered, 25);
 }

@@ -3,7 +3,7 @@
 //! merged study digest, same per-config `RunResult` digests — for every
 //! thread count, for all four algorithms, under fault plans, and with
 //! observability recorders attached. Completion order, worker identity,
-//! and per-worker pool warmth must never leak into results.
+//! and the warmth of each worker's run arena must never leak into results.
 //!
 //! Extends the `parallel_equals_sequential` pattern of PR 5 from a single
 //! run pair to the whole `SweepDriver` fabric.
@@ -204,9 +204,9 @@ fn panicking_config_propagates_out_of_the_sweep() {
     );
 }
 
-/// Warm vs cold per-worker pools: a threads=1 sweep runs every config
-/// through ONE progressively warmer `MsgPool`, while `Experiment::run`
-/// allocates cold — the digests must agree bit for bit anyway.
+/// Warm vs cold per-worker arenas: a threads=1 sweep runs every config
+/// through ONE progressively warmer `RunScratch`, while `Experiment::run`
+/// starts from a cold one — the digests must agree bit for bit anyway.
 #[test]
 fn warm_worker_pools_match_cold_runs() {
     let params = StudyParams::quick(13);
@@ -222,13 +222,13 @@ fn warm_worker_pools_match_cold_runs() {
         assert_eq!(
             outcome.download_all.digest(),
             exp.run(Algorithm::DownloadAll).digest(),
-            "warm-pool download-all diverged from cold at config {i}"
+            "warm-arena download-all diverged from cold at config {i}"
         );
         for (j, result) in outcome.results.iter().enumerate() {
             assert_eq!(
                 result.digest(),
                 exp.run(params.algorithms[j]).digest(),
-                "warm-pool run diverged from cold at config {i}, algorithm {j}"
+                "warm-arena run diverged from cold at config {i}, algorithm {j}"
             );
         }
     }
