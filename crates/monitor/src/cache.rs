@@ -227,9 +227,7 @@ impl BandwidthCache {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(move |(i, s)| {
-                s.map(|m| ((HostId::new(i / n), HostId::new(i % n)), m))
-            })
+            .filter_map(move |(i, s)| s.map(|m| ((HostId::new(i / n), HostId::new(i % n)), m)))
             .filter(move |(_, m)| now.saturating_since(m.at) <= self.config.t_thres)
     }
 

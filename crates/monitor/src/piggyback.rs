@@ -145,16 +145,16 @@ mod tests {
         // 42 newest (t >= 118.0) survive the 1 KB budget.
         let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
         for i in 0..60 {
-            c.observe(h(i), h(i + 1), 1.0, SimTime::from_secs_f64(100.0 + i as f64 * 0.5));
+            c.observe(
+                h(i),
+                h(i + 1),
+                1.0,
+                SimTime::from_secs_f64(100.0 + i as f64 * 0.5),
+            );
         }
         let p = collect(&c, SimTime::from_secs(130));
         assert_eq!(p.len(), 42);
-        let oldest_kept = p
-            .entries
-            .iter()
-            .map(|e| e.measurement.at)
-            .min()
-            .unwrap();
+        let oldest_kept = p.entries.iter().map(|e| e.measurement.at).min().unwrap();
         assert_eq!(oldest_kept, SimTime::from_secs_f64(109.0));
     }
 
