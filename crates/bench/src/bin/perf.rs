@@ -71,8 +71,8 @@ const MAX_ALLOCS_PER_RUN_STUDY_REDUCED: f64 = 450.0;
 /// The quick study over the paper-WAN shared-bottleneck topology. The
 /// fair-share model keeps per-flow state, reschedules completions on
 /// every recompute, and builds the topology graph per configuration, so
-/// its steady state is costlier than the flat per-pair table's
-/// (~106 allocs/run measured vs ~79); the budget is that measurement
+/// its steady state is costlier than a per-pair world's (~97 allocs/run
+/// measured vs ~79); the budget is the ~106 measured when it was set,
 /// with ~2x headroom (see `results/BENCH_perf_baseline_pr10.json` for
 /// the pre-arena numbers).
 const MAX_ALLOCS_PER_RUN_STUDY_TOPO: f64 = 220.0;

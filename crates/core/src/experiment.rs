@@ -2,16 +2,14 @@
 //! placement strategies.
 //!
 //! An [`Experiment`] pins everything that must be held fixed when
-//! comparing algorithms — the link traces, the workload seed, the tree
-//! shape — and runs each algorithm against that identical world, which is
-//! how the paper computes its speedups.
+//! comparing algorithms — the network topology and its traces, the
+//! workload seed, the tree shape — and runs each algorithm against that
+//! identical world, which is how the paper computes its speedups.
 
 use std::sync::{Arc, OnceLock};
 
 use wadc_app::image::SizeDistribution;
 use wadc_app::workload::{Workload, WorkloadParams};
-use wadc_net::link::LinkTable;
-use wadc_net::topo::nominal_link_table;
 use wadc_plan::placement::HostRoster;
 use wadc_plan::tree::{CombinationTree, TreeShape};
 use wadc_sim::rng::{derive_seed, derive_seed2};
@@ -26,12 +24,17 @@ use crate::algorithms::one_shot::Objective;
 use crate::engine::{Algorithm, Engine, EngineConfig, RunResult, RunScratch};
 use crate::knowledge::KnowledgeMode;
 
+/// The per-pair table [`Experiment::new`] takes and [`Experiment::links`]
+/// returns, re-exported so crates that build experiments need not depend
+/// on `wadc-topo`.
+pub use wadc_topo::link::LinkTable;
+
 /// Stream labels for seed derivation (arbitrary, fixed constants).
 const STREAM_LINKS: u64 = 10;
 const STREAM_WORKLOAD: u64 = 11;
 
-/// One fixed world (links + workload) to run algorithms against: the only
-/// way to build an [`Engine`] is [`Experiment::engine_scratch`].
+/// One fixed world (topology + workload) to run algorithms against: the
+/// only way to build an [`Engine`] is [`Experiment::engine_scratch`].
 ///
 /// # Examples
 ///
@@ -45,13 +48,11 @@ const STREAM_WORKLOAD: u64 = 11;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Experiment {
-    links: LinkTable,
+    /// The network: one private link per host pair for the paper's
+    /// per-pair worlds, or a preset with shared links, whose concurrent
+    /// transfers split their bandwidth max-min fairly.
+    topology: Arc<Topology>,
     template: EngineConfig,
-    /// When set, runs use the shared-bottleneck topology model instead of
-    /// the per-pair link table: `links` holds the topology's nominal
-    /// path-bottleneck traces (planner/probe view) and concurrent
-    /// transfers over a shared link split its bandwidth max-min fairly.
-    topology: Option<Arc<Topology>>,
     /// An explicitly constructed combination tree; `None` builds the
     /// template's `tree_shape`.
     tree: Option<CombinationTree>,
@@ -68,13 +69,21 @@ pub struct Experiment {
 
 impl Experiment {
     /// Builds an experiment over an explicit link table and config
-    /// template. The template's `algorithm` field is replaced by
-    /// [`Experiment::run`].
+    /// template: the paper's per-pair world, each pair's trace on a
+    /// private link of its own. The template's `algorithm` field is
+    /// replaced by [`Experiment::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table leaves a host pair without a trace.
     pub fn new(links: LinkTable, template: EngineConfig) -> Self {
+        Experiment::over(Arc::new(Topology::per_pair(links)), template)
+    }
+
+    fn over(topology: Arc<Topology>, template: EngineConfig) -> Self {
         Experiment {
-            links,
+            topology,
             template,
-            topology: None,
             tree: None,
             roster: None,
             workload: OnceLock::new(),
@@ -132,10 +141,10 @@ impl Experiment {
     /// [`Experiment::from_study_pool`] over an explicit shared-bottleneck
     /// topology: instead of assigning pool traces to the complete graph's
     /// links independently, `preset` builds an access-link + backbone
-    /// graph from the pool and the link table becomes its nominal
-    /// path-bottleneck traces. The workload seed derivation is identical
-    /// to `from_study_pool`, so the two constructors compare the same
-    /// demand over different network models.
+    /// graph from the pool, whose nominal path-bottleneck traces become
+    /// the link table. The workload seed derivation is identical to
+    /// `from_study_pool`, so the two constructors compare the same demand
+    /// over different networks.
     pub fn from_study_pool_topo(
         n_servers: usize,
         pool: &[Arc<BandwidthTrace>],
@@ -151,7 +160,7 @@ impl Experiment {
         ));
         let template = EngineConfig::new(n_servers, Algorithm::DownloadAll)
             .with_seed(derive_seed2(master_seed, STREAM_WORKLOAD, index));
-        Experiment::new(nominal_link_table(&topology), template).with_topology(topology)
+        Experiment::over(topology, template)
     }
 
     /// A deliberately small world for unit tests and doctests: a handful
@@ -199,10 +208,9 @@ impl Experiment {
         }
     }
 
-    /// Sets an explicit shared-bottleneck topology (builder-style). The
-    /// link table is replaced by the topology's nominal path-bottleneck
-    /// traces so planner, probes and solo transfers see a consistent
-    /// world.
+    /// Replaces the network with an explicit topology (builder-style);
+    /// its nominal path-bottleneck traces become the link table that
+    /// planner, probes and uncontended transfers see.
     ///
     /// # Panics
     ///
@@ -213,15 +221,14 @@ impl Experiment {
             self.template.n_servers + 1,
             "topology must cover the client and every server"
         );
-        self.links = nominal_link_table(&topology);
-        self.topology = Some(topology);
+        self.topology = topology;
         self
     }
 
-    /// The experiment's topology, when it runs the shared-bottleneck
-    /// model.
+    /// The experiment's topology when some link is shared; `None` on a
+    /// per-pair world, where no two routes meet.
     pub fn topology(&self) -> Option<&Arc<Topology>> {
-        self.topology.as_ref()
+        self.topology.has_shared_link().then_some(&self.topology)
     }
 
     /// Sets the tree shape (builder-style).
@@ -242,7 +249,7 @@ impl Experiment {
 
     /// Sets an explicit host roster (builder-style). The roster may place
     /// several servers on one host or bind servers to replica hosts chosen
-    /// by [`crate::replication`]; the link table must cover exactly the
+    /// by [`crate::replication`]; the topology must cover exactly the
     /// roster's hosts.
     pub fn with_roster(mut self, roster: HostRoster) -> Self {
         self.roster = Some(roster);
@@ -291,9 +298,9 @@ impl Experiment {
             .clone()
     }
 
-    /// The experiment's link table.
+    /// The experiment's link table: every pair's nominal trace.
     pub fn links(&self) -> &LinkTable {
-        &self.links
+        self.topology.nominal()
     }
 
     /// Sets the placement-search objective (builder-style).
@@ -358,15 +365,15 @@ impl Experiment {
 
     /// Builds (without running) the world for one run of `algorithm`,
     /// drawing its growable state from `scratch`; run it with
-    /// [`Engine::run_reclaim_scratch`]. Every engine is built here, over
-    /// the topology model when one is set. The world-setup microbench
-    /// measures this alone; normal callers want [`Experiment::run_scratch`].
+    /// [`Engine::run_reclaim_scratch`]. Every engine is built here. The
+    /// world-setup microbench measures this alone; normal callers want
+    /// [`Experiment::run_scratch`].
     ///
     /// # Panics
     ///
     /// Panics with the message of [`Experiment::validate`] if `algorithm`
-    /// cannot run on this world, or if the tree, roster and links disagree
-    /// about server and host counts.
+    /// cannot run on this world, or if the tree, roster and topology
+    /// disagree about server and host counts.
     pub fn engine_scratch(&self, algorithm: Algorithm, scratch: RunScratch) -> Engine {
         let (cfg, tree) = self.run_spec(algorithm).unwrap_or_else(|e| panic!("{e}"));
         let roster = self
@@ -375,7 +382,6 @@ impl Experiment {
             .unwrap_or_else(|| HostRoster::one_host_per_server(cfg.n_servers));
         Engine::build(
             cfg,
-            self.links.clone(),
             self.topology.clone(),
             tree,
             roster,
@@ -530,27 +536,47 @@ mod tests {
 
     #[test]
     fn star_topology_with_private_links_equals_link_table() {
-        // A topology where every pair's path is a single private link is
-        // observationally a per-pair link table: no link is shared, every
-        // flow stays solo, and the nominal traces are the same Arcs. The
-        // digests must match exactly — this is the model-equivalence
-        // anchor for the shared-bottleneck backend.
-        use wadc_topo::graph::Topology;
-        let exp = Experiment::quick(4, 17);
-        let n = exp.template().n_servers + 1;
-        let topo = Arc::new(Topology::star_private(n, |a, b| {
-            exp.links().trace(a, b).expect("complete table").clone()
-        }));
-        let topo_exp = Experiment::new(exp.links().clone(), exp.template().clone())
-            .with_topology(topo)
-            .with_workload(exp.template().workload);
-        for alg in [Algorithm::DownloadAll, Algorithm::OneShot] {
-            assert_eq!(
-                exp.run(alg).digest(),
-                topo_exp.run(alg).digest(),
-                "{} diverged on a shared-nothing topology",
-                alg.name()
-            );
+        // A hand-built topology where every pair's path is one named
+        // private link is the per-pair world: no link is shared, so no
+        // flow is ever fair-shared — not even two flows of one pair at
+        // NIC capacity 2 — and the nominal traces are the same Arcs. The
+        // digests must match exactly under every algorithm.
+        use wadc_net::network::NetworkParams;
+        use wadc_plan::ids::HostId;
+        use wadc_topo::graph::TopologyBuilder;
+        let thirty = SimDuration::from_secs(30);
+        let algorithms = [
+            Algorithm::DownloadAll,
+            Algorithm::OneShot,
+            Algorithm::Global { period: thirty },
+            Algorithm::Local {
+                period: thirty,
+                extra_candidates: 0,
+            },
+        ];
+        for nic_capacity in [1, 2] {
+            let mut exp = Experiment::quick(4, 17);
+            exp.template_mut().net = NetworkParams::with_nic_capacity(nic_capacity);
+            let n = exp.template().n_servers + 1;
+            let mut b = TopologyBuilder::new(n);
+            for lo in 0..n {
+                for hi in (lo + 1)..n {
+                    let (x, y) = (HostId::new(lo), HostId::new(hi));
+                    let trace = exp.links().trace(x, y).expect("complete table");
+                    let link = b.add_link(&format!("private-{lo}-{hi}"), trace.clone());
+                    b.route(x, y, &[link]);
+                }
+            }
+            let star = exp.clone().with_topology(Arc::new(b.build()));
+            assert!(exp.topology().is_none() && star.topology().is_none());
+            for alg in algorithms {
+                assert_eq!(
+                    exp.run(alg).digest(),
+                    star.run(alg).digest(),
+                    "{} diverged on a shared-nothing topology at NIC capacity {nic_capacity}",
+                    alg.name()
+                );
+            }
         }
     }
 

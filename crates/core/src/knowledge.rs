@@ -9,10 +9,10 @@
 use wadc_monitor::cache::BandwidthCache;
 use wadc_monitor::forecast::Forecaster;
 use wadc_monitor::gauge::Gauge;
-use wadc_net::link::LinkTable;
 use wadc_plan::bandwidth::BandwidthView;
 use wadc_plan::ids::HostId;
 use wadc_sim::time::{SimDuration, SimTime};
+use wadc_topo::link::LinkTable;
 
 /// How a placement decision sees the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

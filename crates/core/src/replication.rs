@@ -275,7 +275,7 @@ mod tests {
         use std::sync::Arc;
         use wadc_app::image::SizeDistribution;
         use wadc_app::workload::WorkloadParams;
-        use wadc_net::link::LinkTable;
+        use wadc_topo::link::LinkTable;
         use wadc_trace::model::BandwidthTrace;
 
         // 2 servers + 1 replica host + client = 4 hosts. Server 0's

@@ -9,9 +9,9 @@ use wadc_app::image::SizeDistribution;
 use wadc_app::workload::WorkloadParams;
 use wadc_core::engine::{Algorithm, EngineConfig, RunResult};
 use wadc_core::experiment::Experiment;
-use wadc_net::link::LinkTable;
 use wadc_plan::ids::HostId;
 use wadc_sim::time::{SimDuration, SimTime};
+use wadc_topo::link::LinkTable;
 use wadc_trace::model::BandwidthTrace;
 
 /// A complete constant-bandwidth link table over `n` hosts.

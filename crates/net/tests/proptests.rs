@@ -6,12 +6,13 @@
 use std::sync::Arc;
 
 use wadc_net::faults::TrafficKind;
-use wadc_net::link::LinkTable;
 use wadc_net::network::{Network, NetworkParams, StartedTransfer, TransferSpec};
 use wadc_plan::ids::HostId;
 use wadc_sim::resource::Priority;
 use wadc_sim::rng::{derive_seed2, Rng64};
 use wadc_sim::time::SimTime;
+use wadc_topo::graph::Topology;
+use wadc_topo::link::LinkTable;
 use wadc_trace::model::BandwidthTrace;
 
 const CASES: u64 = 48;
@@ -42,7 +43,8 @@ fn arb_transfers(rng: &mut Rng64, n_hosts: usize) -> Vec<(usize, usize, u64, boo
     }
 }
 
-fn links(n: usize) -> LinkTable {
+/// The per-pair world over `n` hosts, every link at 10 KB/s.
+fn links(n: usize) -> Arc<Topology> {
     let mut l = LinkTable::new(n);
     let tr = Arc::new(BandwidthTrace::constant(10_000.0));
     for a in 0..n {
@@ -50,7 +52,7 @@ fn links(n: usize) -> LinkTable {
             l.set(HostId::new(a), HostId::new(b), tr.clone());
         }
     }
-    l
+    Arc::new(Topology::per_pair(l))
 }
 
 /// Drives the network to completion: repeatedly starts what can start and

@@ -7,6 +7,10 @@
 //! share, subtract what they consume from every link they cross, repeat
 //! until all flows are frozen. No flow can be given more without taking
 //! from a flow that already has less.
+//!
+//! [`check_max_min`] certifies an allocation against the textbook
+//! characterisation instead of recomputing it, so it can catch bugs in
+//! the progressive filling.
 
 use crate::graph::LinkId;
 
@@ -94,6 +98,57 @@ pub fn max_min_shares(capacities: &[f64], flows: &[&[LinkId]], rates: &mut Vec<f
     }
 }
 
+/// Certifies that `rates` is the max-min fair allocation of `capacities`
+/// among the flows whose link paths are `paths`, by the characterisation
+/// in Bertsekas & Gallager, *Data Networks* §6.5: a feasible allocation
+/// is max-min fair exactly when every flow has a bottleneck — a saturated
+/// link on its path on which no flow has a higher rate. It reads only the
+/// final allocation and shares no code with [`max_min_shares`].
+/// Comparisons use a relative tolerance of 1e-9.
+///
+/// # Errors
+///
+/// Returns a description of the first violation: a rate count that
+/// differs from the flow count, a negative or non-finite rate, a path
+/// through an unknown link, a link carrying more than its capacity, or a
+/// flow without a bottleneck.
+pub fn check_max_min(capacities: &[f64], paths: &[&[LinkId]], rates: &[f64]) -> Result<(), String> {
+    const TOL: f64 = 1e-9;
+    if rates.len() != paths.len() {
+        return Err(format!("{} rates for {} flows", rates.len(), paths.len()));
+    }
+    // Load and highest rate per link.
+    let mut load = vec![0.0; capacities.len()];
+    let mut highest = vec![0.0f64; capacities.len()];
+    for (f, (path, &rate)) in paths.iter().zip(rates).enumerate() {
+        if !(rate.is_finite() && rate >= 0.0) {
+            return Err(format!("flow {f} has rate {rate}"));
+        }
+        for l in *path {
+            let Some(used) = load.get_mut(l.index()) else {
+                return Err(format!("flow {f} crosses unknown link {}", l.index()));
+            };
+            *used += rate;
+            highest[l.index()] = highest[l.index()].max(rate);
+        }
+    }
+    if let Some(l) = (0..capacities.len()).find(|&l| load[l] > capacities[l] * (1.0 + TOL)) {
+        let (used, cap) = (load[l], capacities[l]);
+        return Err(format!("link {l} carries {used} over its capacity {cap}"));
+    }
+    let is_bottleneck = |l: &LinkId, rate: f64| {
+        let l = l.index();
+        load[l] >= capacities[l] * (1.0 - TOL) && rate >= highest[l] * (1.0 - TOL)
+    };
+    match (paths.iter().zip(rates)).position(|(p, &r)| !p.iter().any(|l| is_bottleneck(l, r))) {
+        Some(f) => Err(format!(
+            "flow {f} at rate {} has no bottleneck link",
+            rates[f]
+        )),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +201,34 @@ mod tests {
         assert!(rates.is_empty());
     }
 
+    /// A random instance: up to 6 links of capacity 10..1010 and up to 8
+    /// flows, each over a duplicate-free random path.
+    fn random_instance(rng: &mut Rng64) -> (Vec<f64>, Vec<Vec<LinkId>>) {
+        let n_links = 1 + (rng.next_u64() % 6) as usize;
+        let caps: Vec<f64> = (0..n_links)
+            .map(|_| 10.0 + (rng.next_u64() % 1000) as f64)
+            .collect();
+        let n_flows = 1 + (rng.next_u64() % 8) as usize;
+        let flows: Vec<Vec<LinkId>> = (0..n_flows)
+            .map(|_| {
+                let hops = 1 + (rng.next_u64() % n_links as u64) as usize;
+                let mut path: Vec<usize> = (0..n_links).collect();
+                // Deterministic partial shuffle for a duplicate-free path.
+                for i in 0..hops {
+                    let j = i + (rng.next_u64() as usize) % (n_links - i);
+                    path.swap(i, j);
+                }
+                path[..hops].iter().map(|&i| l(i)).collect()
+            })
+            .collect();
+        (caps, flows)
+    }
+
+    fn certify(caps: &[f64], flows: &[Vec<LinkId>], rates: &[f64]) -> Result<(), String> {
+        let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.as_slice()).collect();
+        check_max_min(caps, &paths, rates)
+    }
+
     /// Property sweep over random topologies: conservation (per-link sum
     /// of allocations never exceeds capacity), positivity, and bottleneck
     /// saturation (every flow crosses at least one link that is fully
@@ -154,23 +237,7 @@ mod tests {
     fn random_allocations_conserve_and_saturate() {
         let mut rng = Rng64::seed_from_u64(0x70_70_01);
         for case in 0..200 {
-            let n_links = 1 + (rng.next_u64() % 6) as usize;
-            let caps: Vec<f64> = (0..n_links)
-                .map(|_| 10.0 + (rng.next_u64() % 1000) as f64)
-                .collect();
-            let n_flows = 1 + (rng.next_u64() % 8) as usize;
-            let flows: Vec<Vec<LinkId>> = (0..n_flows)
-                .map(|_| {
-                    let hops = 1 + (rng.next_u64() % n_links as u64) as usize;
-                    let mut path: Vec<usize> = (0..n_links).collect();
-                    // Deterministic partial shuffle for a duplicate-free path.
-                    for i in 0..hops {
-                        let j = i + (rng.next_u64() as usize) % (n_links - i);
-                        path.swap(i, j);
-                    }
-                    path[..hops].iter().map(|&i| l(i)).collect()
-                })
-                .collect();
+            let (caps, flows) = random_instance(&mut rng);
             let rates = shares(&caps, &flows);
 
             for &r in &rates {
@@ -203,5 +270,50 @@ mod tests {
                 assert!(saturated, "case {case}: flow {fi} has no saturated link");
             }
         }
+    }
+
+    #[test]
+    fn certificate_accepts_progressive_filling_on_random_instances() {
+        for seed in 0..20u64 {
+            let mut rng = Rng64::seed_from_u64(0xFA_1E_00 + seed);
+            for case in 0..100 {
+                let (caps, flows) = random_instance(&mut rng);
+                let rates = shares(&caps, &flows);
+                assert_eq!(
+                    certify(&caps, &flows, &rates),
+                    Ok(()),
+                    "seed {seed} case {case}: caps {caps:?} flows {flows:?} rates {rates:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn certificate_rejects_feasible_but_unfair_allocations() {
+        let shared = [vec![l(0)], vec![l(0)]];
+        assert_eq!(certify(&[100.0], &shared, &[50.0, 50.0]), Ok(()));
+        // Saturated and within capacity, but flow 1 is below flow 0 on
+        // its only link: it has no bottleneck.
+        let unfair = certify(&[100.0], &shared, &[70.0, 30.0]).unwrap_err();
+        assert!(unfair.contains("flow 1"), "{unfair}");
+        // Classic two-bottleneck example: flow 0 must take link 0's slack.
+        let two = [vec![l(0)], vec![l(0), l(1)]];
+        assert_eq!(certify(&[100.0, 30.0], &two, &[70.0, 30.0]), Ok(()));
+        let slack = certify(&[100.0, 30.0], &two, &[50.0, 30.0]).unwrap_err();
+        assert!(slack.contains("flow 0"), "{slack}");
+    }
+
+    #[test]
+    fn certificate_rejects_infeasible_and_malformed_allocations() {
+        let shared = [vec![l(0)], vec![l(0)]];
+        let over = certify(&[100.0], &shared, &[60.0, 60.0]).unwrap_err();
+        assert!(over.contains("over its capacity"), "{over}");
+        assert!(
+            certify(&[100.0], &shared, &[40.0, 40.0]).is_err(),
+            "idle slack"
+        );
+        assert!(certify(&[100.0], &shared, &[50.0]).is_err(), "missing rate");
+        assert!(certify(&[100.0], &shared, &[f64::NAN, 50.0]).is_err());
+        assert!(certify(&[100.0], &[vec![l(3)]], &[100.0]).is_err());
     }
 }

@@ -5,13 +5,20 @@
 //! list of [`LinkId`]s) for every unordered host pair. Each link carries
 //! a [`BandwidthTrace`]; a pair's *nominal* bandwidth (what an
 //! uncontended transfer, or an on-demand probe, sees) is the pointwise
-//! minimum of its path's traces.
+//! minimum of its path's traces, and the topology owns the per-pair
+//! [`LinkTable`] of those nominal traces.
+//!
+//! The paper's network — one independently traced link per host pair —
+//! is the topology [`Topology::per_pair`] builds: one private link per
+//! pair, none shared.
 
 use std::sync::Arc;
 
 use wadc_plan::ids::HostId;
 use wadc_sim::time::SimTime;
 use wadc_trace::model::{BandwidthTrace, Sample};
+
+use crate::link::LinkTable;
 
 /// Handle to one link of a [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,38 +40,63 @@ impl LinkId {
 /// One physical link: a stable name and its bandwidth trace.
 #[derive(Debug, Clone)]
 pub struct TopoLink {
-    /// Stable human-readable name ("access-3", "transatlantic", …).
+    /// Stable human-readable name ("access-3", "transatlantic", …);
+    /// empty for the private links of [`Topology::per_pair`].
     pub name: String,
     /// The link's capacity over time, in bytes per second.
     pub trace: Arc<BandwidthTrace>,
+    /// Number of pair routes crossing the link.
+    routes: usize,
+}
+
+/// Where one pair's route lies in a topology's flat hop list.
+#[derive(Debug, Clone, Copy, Default)]
+struct Route {
+    start: u32,
+    len: u32,
+    /// Whether the route crosses a link another pair's route crosses too.
+    shared: bool,
+}
+
+impl Route {
+    /// The `len` hops from `start` on, not yet marked shared.
+    fn new(start: usize, len: usize) -> Route {
+        let fit = |x: usize| u32::try_from(x).expect("hop list offsets fit in 32 bits");
+        Route {
+            start: fit(start),
+            len: fit(len),
+            shared: false,
+        }
+    }
+
+    fn hops(self, hops: &[LinkId]) -> &[LinkId] {
+        &hops[self.start as usize..][..self.len as usize]
+    }
 }
 
 /// An explicit topology: links plus a routed path per host pair.
 ///
-/// Built through [`TopologyBuilder`]; construction verifies that every
-/// pair of the complete graph is routed, then precomputes each pair's
-/// nominal (path-bottleneck) trace.
+/// Built through [`TopologyBuilder`] or [`Topology::per_pair`];
+/// construction verifies that every pair of the complete graph is routed,
+/// then precomputes each pair's nominal (path-bottleneck) trace.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    n_hosts: usize,
     links: Vec<TopoLink>,
     /// Route per unordered pair, indexed `lo * n + hi`; empty elsewhere.
-    routes: Vec<Vec<LinkId>>,
-    /// Cached nominal trace per unordered pair (same indexing). For
-    /// single-link paths this is the link's own `Arc`, so a topology of
-    /// private per-pair links reproduces a plain link table exactly.
-    nominal: Vec<Option<Arc<BandwidthTrace>>>,
-    /// Number of pair routes crossing each link.
-    route_count: Vec<usize>,
+    routes: Vec<Route>,
+    /// Every route's links, back to back.
+    hops: Vec<LinkId>,
+    /// Nominal trace per pair. For single-link paths this is the link's
+    /// own `Arc`, so a topology of private per-pair links carries exactly
+    /// the link table it was built from.
+    nominal: LinkTable,
 }
 
-/// Builder for [`Topology`]: add links, then route every host pair.
+/// Builder for [`Topology`]: add links, then route every host pair. It
+/// holds the topology under construction; [`TopologyBuilder::build`]
+/// counts the routes over each link and fills in the nominal table.
 #[derive(Debug)]
-pub struct TopologyBuilder {
-    n_hosts: usize,
-    links: Vec<TopoLink>,
-    routes: Vec<Vec<LinkId>>,
-}
+pub struct TopologyBuilder(Topology);
 
 fn pair_index(n: usize, a: HostId, b: HostId) -> usize {
     let (lo, hi) = if a.index() <= b.index() {
@@ -83,44 +115,47 @@ impl TopologyBuilder {
     /// Panics if `n_hosts < 2`.
     pub fn new(n_hosts: usize) -> Self {
         assert!(n_hosts >= 2, "a topology needs at least two hosts");
-        TopologyBuilder {
-            n_hosts,
+        TopologyBuilder(Topology {
             links: Vec::new(),
-            routes: vec![Vec::new(); n_hosts * n_hosts],
-        }
+            routes: vec![Route::default(); n_hosts * n_hosts],
+            hops: Vec::new(),
+            nominal: LinkTable::new(n_hosts),
+        })
     }
 
     /// Adds a link and returns its handle.
     pub fn add_link(&mut self, name: &str, trace: Arc<BandwidthTrace>) -> LinkId {
-        self.links.push(TopoLink {
+        self.0.links.push(TopoLink {
             name: name.to_string(),
             trace,
+            routes: 0,
         });
-        LinkId(self.links.len() - 1)
+        LinkId(self.0.links.len() - 1)
     }
 
-    /// Routes the (symmetric) pair `a`–`b` over `path`.
+    /// Routes the (symmetric) pair `a`–`b` over `path`, replacing any
+    /// earlier route of the pair.
     ///
     /// # Panics
     ///
     /// Panics if `a == b`, a host is out of range, the path is empty,
     /// a link id is unknown, or the path repeats a link.
     pub fn route(&mut self, a: HostId, b: HostId, path: &[LinkId]) {
+        let t = &mut self.0;
+        let n = t.host_count();
         assert_ne!(a, b, "no self-routes");
-        assert!(
-            a.index() < self.n_hosts && b.index() < self.n_hosts,
-            "host out of range"
-        );
+        assert!(a.index() < n && b.index() < n, "host out of range");
         assert!(!path.is_empty(), "a route crosses at least one link");
         for (i, l) in path.iter().enumerate() {
-            assert!(l.0 < self.links.len(), "unknown link in route");
+            assert!(l.0 < t.links.len(), "unknown link in route");
             assert!(
                 !path[..i].contains(l),
                 "route visits link {} twice",
-                self.links[l.0].name
+                t.links[l.0].name
             );
         }
-        self.routes[pair_index(self.n_hosts, a, b)] = path.to_vec();
+        t.routes[pair_index(n, a, b)] = Route::new(t.hops.len(), path.len());
+        t.hops.extend_from_slice(path);
     }
 
     /// Finalises the topology.
@@ -129,36 +164,29 @@ impl TopologyBuilder {
     ///
     /// Panics if any host pair was left unrouted.
     pub fn build(self) -> Topology {
-        let n = self.n_hosts;
-        let mut nominal = vec![None; n * n];
-        let mut route_count = vec![0usize; self.links.len()];
+        let mut t = self.0;
+        let n = t.host_count();
         for a in 0..n {
             for b in (a + 1)..n {
-                let idx = a * n + b;
-                let path = &self.routes[idx];
+                let path = t.routes[a * n + b].hops(&t.hops);
                 assert!(!path.is_empty(), "pair {a} - {b} has no route");
                 for l in path {
-                    route_count[l.0] += 1;
+                    t.links[l.0].routes += 1;
                 }
-                nominal[idx] = Some(if path.len() == 1 {
+                let trace = match path {
                     // One private link: reuse its trace verbatim, so a
-                    // star-of-private-links topology is byte-identical
-                    // to a per-pair link table.
-                    self.links[path[0].0].trace.clone()
-                } else {
-                    Arc::new(min_trace(
-                        path.iter().map(|l| self.links[l.0].trace.as_ref()),
-                    ))
-                });
+                    // star-of-private-links topology carries exactly the
+                    // per-pair link table it was built from.
+                    [only] => t.links[only.0].trace.clone(),
+                    _ => Arc::new(min_trace(path.iter().map(|l| t.links[l.0].trace.as_ref()))),
+                };
+                t.nominal.set(HostId::new(a), HostId::new(b), trace);
             }
         }
-        Topology {
-            n_hosts: n,
-            links: self.links,
-            routes: self.routes,
-            nominal,
-            route_count,
+        for r in &mut t.routes {
+            r.shared = r.hops(&t.hops).iter().any(|l| t.links[l.0].routes > 1);
         }
+        t
     }
 }
 
@@ -188,9 +216,47 @@ fn min_trace<'a>(traces: impl Iterator<Item = &'a BandwidthTrace> + Clone) -> Ba
 }
 
 impl Topology {
+    /// The paper's network: every host pair gets one private link
+    /// carrying its trace from `links`, which becomes the topology's
+    /// nominal table. No link is shared, so the fair-share model never
+    /// touches a flow and every transfer takes its exact trace integral.
+    /// Private links are unnamed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `links` covers fewer than two hosts or leaves a pair
+    /// without a trace.
+    pub fn per_pair(links: LinkTable) -> Topology {
+        let n = links.host_count();
+        assert!(n >= 2, "a topology needs at least two hosts");
+        let mut t = Topology {
+            links: Vec::with_capacity(n * (n - 1) / 2),
+            routes: vec![Route::default(); n * n],
+            hops: Vec::with_capacity(n * (n - 1) / 2),
+            nominal: links,
+        };
+        for a in 0..n {
+            for b in (a + 1)..n {
+                let trace = t
+                    .nominal
+                    .trace(HostId::new(a), HostId::new(b))
+                    .unwrap_or_else(|| panic!("pair {a} - {b} has no bandwidth trace"))
+                    .clone();
+                t.routes[a * n + b] = Route::new(t.hops.len(), 1);
+                t.hops.push(LinkId(t.links.len()));
+                t.links.push(TopoLink {
+                    name: String::new(),
+                    trace,
+                    routes: 1,
+                });
+            }
+        }
+        t
+    }
+
     /// Number of hosts.
     pub fn host_count(&self) -> usize {
-        self.n_hosts
+        self.nominal.host_count()
     }
 
     /// Number of links.
@@ -219,11 +285,18 @@ impl Topology {
     /// Panics if `a == b` or a host is out of range.
     pub fn route(&self, a: HostId, b: HostId) -> &[LinkId] {
         assert_ne!(a, b, "no self-routes");
-        assert!(
-            a.index() < self.n_hosts && b.index() < self.n_hosts,
-            "host out of range"
-        );
-        &self.routes[pair_index(self.n_hosts, a, b)]
+        let n = self.host_count();
+        assert!(a.index() < n && b.index() < n, "host out of range");
+        self.routes[pair_index(n, a, b)].hops(&self.hops)
+    }
+
+    /// `true` if the pair's route crosses a link some other pair's route
+    /// crosses too. Only such flows can ever be fair-shared; any other
+    /// route is the pair's own path.
+    pub fn route_is_shared(&self, a: HostId, b: HostId) -> bool {
+        let n = self.host_count();
+        debug_assert!(a.index() < n && b.index() < n, "host out of range");
+        self.routes[pair_index(n, a, b)].shared
     }
 
     /// The pair's nominal trace: the pointwise minimum bandwidth along
@@ -235,23 +308,35 @@ impl Topology {
     /// As for [`Topology::route`].
     pub fn nominal_trace(&self, a: HostId, b: HostId) -> &Arc<BandwidthTrace> {
         assert_ne!(a, b, "no self-routes");
-        self.nominal[pair_index(self.n_hosts, a, b)]
-            .as_ref()
+        self.nominal
+            .trace(a, b)
             .expect("built topologies route every pair")
+    }
+
+    /// Every pair's nominal trace: what probes and planners read as link
+    /// state.
+    pub fn nominal(&self) -> &LinkTable {
+        &self.nominal
     }
 
     /// `true` if more than one pair's route crosses the link — the
     /// links where fair sharing can actually bite.
     pub fn is_shared(&self, id: LinkId) -> bool {
-        self.route_count[id.0] > 1
+        self.links[id.0].routes > 1
+    }
+
+    /// `true` if any link is shared; `false` for a per-pair topology.
+    pub fn has_shared_link(&self) -> bool {
+        self.links.iter().any(|l| l.routes > 1)
     }
 
     /// Every host pair whose route crosses `link`, in `(lo, hi)` order.
     pub fn pairs_over(&self, link: LinkId) -> Vec<(HostId, HostId)> {
+        let n = self.host_count();
         let mut out = Vec::new();
-        for a in 0..self.n_hosts {
-            for b in (a + 1)..self.n_hosts {
-                if self.routes[a * self.n_hosts + b].contains(&link) {
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if self.routes[a * n + b].hops(&self.hops).contains(&link) {
                     out.push((HostId::new(a), HostId::new(b)));
                 }
             }
@@ -271,25 +356,6 @@ impl Topology {
                 samples.get(i).map(|s| s.at)
             })
             .min()
-    }
-
-    /// A star of private links: every pair gets its own dedicated link
-    /// carrying the trace `traces(a, b)` returns. Nothing is shared, so
-    /// the fair-share model must reproduce a per-pair link table
-    /// exactly — the equivalence the verification suite pins.
-    pub fn star_private(
-        n_hosts: usize,
-        mut traces: impl FnMut(HostId, HostId) -> Arc<BandwidthTrace>,
-    ) -> Topology {
-        let mut b = TopologyBuilder::new(n_hosts);
-        for lo in 0..n_hosts {
-            for hi in (lo + 1)..n_hosts {
-                let (a, h) = (HostId::new(lo), HostId::new(hi));
-                let link = b.add_link(&format!("private-{lo}-{hi}"), traces(a, h));
-                b.route(a, h, &[link]);
-            }
-        }
-        b.build()
     }
 }
 
@@ -341,6 +407,10 @@ mod tests {
                 || t.pairs_over(t.find_link("access-1").unwrap()).len() > 1
         );
         assert_eq!(t.pairs_over(bb), vec![(h(0), h(1)), (h(0), h(2))]);
+        // (0,1) and (0,2) cross the backbone; (1,2) crosses access-1,
+        // which (0,1) crosses too.
+        assert!(t.route_is_shared(h(1), h(0)) && t.route_is_shared(h(2), h(1)));
+        assert!(t.has_shared_link());
     }
 
     #[test]
@@ -357,8 +427,59 @@ mod tests {
     #[test]
     fn single_link_path_reuses_the_trace_arc() {
         let tr = Arc::new(BandwidthTrace::constant(77.0));
-        let t = Topology::star_private(3, |_, _| tr.clone());
+        let mut b = TopologyBuilder::new(3);
+        for (lo, hi) in [(0, 1), (0, 2), (1, 2)] {
+            let link = b.add_link(&format!("private-{lo}-{hi}"), tr.clone());
+            b.route(h(lo), h(hi), &[link]);
+        }
+        let t = b.build();
         assert!(Arc::ptr_eq(t.nominal_trace(h(0), h(2)), &tr));
+        assert!(!t.has_shared_link() && !t.route_is_shared(h(2), h(0)));
+    }
+
+    #[test]
+    fn per_pair_topology_gives_every_pair_a_private_link() {
+        let mut links = LinkTable::new(3);
+        for (lo, hi, bw) in [(0, 1, 10.0), (0, 2, 20.0), (1, 2, 30.0)] {
+            links.set(h(lo), h(hi), Arc::new(BandwidthTrace::constant(bw)));
+        }
+        let t = Topology::per_pair(links);
+        assert_eq!(t.link_count(), 3);
+        assert!(!t.has_shared_link());
+        for (lo, hi) in [(0, 1), (0, 2), (1, 2)] {
+            let route = t.route(h(hi), h(lo));
+            assert_eq!(route.len(), 1);
+            assert!(!t.is_shared(route[0]) && !t.route_is_shared(h(lo), h(hi)));
+            assert!(Arc::ptr_eq(
+                &t.link(route[0]).trace,
+                t.nominal().trace(h(lo), h(hi)).unwrap()
+            ));
+        }
+        assert_eq!(
+            t.nominal().bandwidth_at(h(2), h(1), SimTime::ZERO),
+            Some(30.0)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pair 0 - 2 has no bandwidth trace")]
+    fn per_pair_rejects_an_incomplete_table() {
+        let mut links = LinkTable::new(3);
+        links.set(h(0), h(1), Arc::new(BandwidthTrace::constant(1.0)));
+        let _ = Topology::per_pair(links);
+    }
+
+    #[test]
+    fn a_replaced_route_is_the_only_one_counted() {
+        let mut b = TopologyBuilder::new(2);
+        let x = b.add_link("x", Arc::new(BandwidthTrace::constant(1.0)));
+        let y = b.add_link("y", Arc::new(BandwidthTrace::constant(2.0)));
+        b.route(h(0), h(1), &[x]);
+        b.route(h(1), h(0), &[y]);
+        let t = b.build();
+        assert_eq!(t.route(h(0), h(1)), &[y]);
+        assert_eq!(t.pairs_over(x), vec![]);
+        assert_eq!(t.nominal_trace(h(0), h(1)).bandwidth_at(SimTime::ZERO), 2.0);
     }
 
     #[test]

@@ -1,18 +1,24 @@
-//! # wadc-topo — shared-bottleneck WAN topology
+//! # wadc-topo — the network model
 //!
-//! The paper's network model (and this repo's default) is per-host-pair
-//! trace-driven bandwidth with no cross-pair coupling. Real wide-area
-//! networks fail collectively: many flows contend for one congested
-//! oceanic link. This crate supplies the explicit model behind that
-//! behaviour:
+//! Every simulated world is a [`graph::Topology`]. The paper's network
+//! model is per-host-pair trace-driven bandwidth with no cross-pair
+//! coupling: a topology that gives each pair one private link
+//! ([`graph::Topology::per_pair`]). Real wide-area networks also fail
+//! collectively: many flows contend for one congested oceanic link. This
+//! crate supplies both:
 //!
+//! - [`link::LinkTable`] — a bandwidth trace per host pair, including the
+//!   paper's 300-configuration generator (random assignment of study
+//!   traces to the links of a complete graph); every topology owns one
+//!   as its per-pair nominal table,
 //! - [`graph::Topology`] — hosts behind edge (access) links, joined by
 //!   shared backbone links, each link carrying a
 //!   [`wadc_trace::model::BandwidthTrace`]; plus a routing table mapping
 //!   every host pair to its link path,
 //! - [`fair::max_min_shares`] — a max-min fair-share allocator that
 //!   splits each shared link's instantaneous bandwidth among the
-//!   concurrent flows crossing it (progressive filling),
+//!   concurrent flows crossing it (progressive filling), and
+//!   [`fair::check_max_min`], an independent certificate of its output,
 //! - [`preset::TopoPreset`] — paper-shaped presets: US / EU / Brazil
 //!   regions behind two oceanic bottlenecks.
 //!
@@ -49,8 +55,10 @@
 
 pub mod fair;
 pub mod graph;
+pub mod link;
 pub mod preset;
 
-pub use fair::max_min_shares;
+pub use fair::{check_max_min, max_min_shares};
 pub use graph::{LinkId, TopoLink, Topology, TopologyBuilder};
+pub use link::{LinkTable, OracleView};
 pub use preset::{build_preset, TopoPreset};

@@ -111,17 +111,17 @@ fn build_paper_wan(n_hosts: usize, pool: &[Arc<BandwidthTrace>], seed: u64) -> T
     for lo in 0..n_hosts {
         for hi in (lo + 1)..n_hosts {
             let (a, z) = (HostId::new(lo), HostId::new(hi));
-            let path: Vec<_> = match (region_of(lo, n_hosts), region_of(hi, n_hosts)) {
+            let (x, y) = (access[lo], access[hi]);
+            match (region_of(lo, n_hosts), region_of(hi, n_hosts)) {
                 // Intra-region: the two access links suffice.
-                (ra, rb) if ra == rb => vec![access[lo], access[hi]],
+                (ra, rb) if ra == rb => b.route(a, z, &[x, y]),
                 // US <-> EU over the Atlantic.
-                (0, 1) | (1, 0) => vec![access[lo], transatlantic, access[hi]],
+                (0, 1) | (1, 0) => b.route(a, z, &[x, transatlantic, y]),
                 // US <-> Brazil over the American backbone.
-                (0, 2) | (2, 0) => vec![access[lo], transamerican, access[hi]],
+                (0, 2) | (2, 0) => b.route(a, z, &[x, transamerican, y]),
                 // EU <-> Brazil crosses both oceans via the US.
-                _ => vec![access[lo], transatlantic, transamerican, access[hi]],
-            };
-            b.route(a, z, &path);
+                _ => b.route(a, z, &[x, transatlantic, transamerican, y]),
+            }
         }
     }
     b.build()

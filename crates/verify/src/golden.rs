@@ -9,117 +9,85 @@
 
 use wadc_core::engine::{Algorithm, RunResult};
 use wadc_core::experiment::Experiment;
+use wadc_core::knowledge::KnowledgeMode;
 use wadc_sim::time::SimDuration;
 
 use crate::determinism::RunDigests;
 
-/// One pinned scenario.
+/// One pinned scenario: an algorithm run on a world.
 pub struct GoldenCase {
     /// Stable fixture key.
     pub name: &'static str,
-    run: fn() -> RunResult,
+    world: fn() -> Experiment,
+    algorithm: Algorithm,
 }
 
 impl GoldenCase {
     /// Runs the scenario.
     pub fn run(&self) -> RunResult {
-        (self.run)()
+        (self.world)().run(self.algorithm)
+    }
+}
+
+fn case(name: &'static str, world: fn() -> Experiment, algorithm: Algorithm) -> GoldenCase {
+    GoldenCase {
+        name,
+        world,
+        algorithm,
+    }
+}
+
+fn global(secs: u64) -> Algorithm {
+    Algorithm::Global {
+        period: SimDuration::from_secs(secs),
+    }
+}
+
+fn local(secs: u64) -> Algorithm {
+    Algorithm::Local {
+        period: SimDuration::from_secs(secs),
+        extra_candidates: 0,
     }
 }
 
 /// The pinned shared-bottleneck scenarios: every placement algorithm on
 /// the paper-WAN topology quick world, plus one cell under gauged
-/// knowledge. These pin the *topology backend* and live in their own
-/// fixture (`tests/golden/digests_topo.txt`, regenerated with
-/// `wadc verify --print-golden-topo`) so the default per-pair fixture
-/// stays byte-identical across backend work.
+/// knowledge. These pin the fair-share model on shared links and live in
+/// their own fixture (`tests/golden/digests_topo.txt`, regenerated with
+/// `wadc verify --print-golden-topo`), apart from the per-pair fixture.
 pub fn topo_golden_cases() -> Vec<GoldenCase> {
-    fn topo4(alg: Algorithm) -> RunResult {
-        Experiment::quick_topo(4, 11).run(alg)
+    fn topo4() -> Experiment {
+        Experiment::quick_topo(4, 11)
     }
+    // The paper-WAN quick world finishes in ~13 simulated seconds (its
+    // access links are 4-8x the flat pool), so the adaptive cases use a
+    // 5 s period to pin actual replanning, not just the initial
+    // placement.
     vec![
-        GoldenCase {
-            name: "topo4-download-all",
-            run: || topo4(Algorithm::DownloadAll),
-        },
-        GoldenCase {
-            name: "topo4-one-shot",
-            run: || topo4(Algorithm::OneShot),
-        },
-        GoldenCase {
-            // The paper-WAN quick world finishes in ~13 simulated
-            // seconds (its access links are 4-8x the flat pool), so the
-            // adaptive cases use a 5 s period to pin actual replanning,
-            // not just the initial placement.
-            name: "topo4-global-5s",
-            run: || {
-                topo4(Algorithm::Global {
-                    period: SimDuration::from_secs(5),
-                })
-            },
-        },
-        GoldenCase {
-            name: "topo4-local-5s",
-            run: || {
-                topo4(Algorithm::Local {
-                    period: SimDuration::from_secs(5),
-                    extra_candidates: 0,
-                })
-            },
-        },
-        GoldenCase {
-            name: "topo4-global-5s-gauged",
-            run: || {
-                Experiment::quick_topo(4, 11)
-                    .with_knowledge(wadc_core::knowledge::KnowledgeMode::Gauged)
-                    .run(Algorithm::Global {
-                        period: SimDuration::from_secs(5),
-                    })
-            },
-        },
+        case("topo4-download-all", topo4, Algorithm::DownloadAll),
+        case("topo4-one-shot", topo4, Algorithm::OneShot),
+        case("topo4-global-5s", topo4, global(5)),
+        case("topo4-local-5s", topo4, local(5)),
+        case(
+            "topo4-global-5s-gauged",
+            || topo4().with_knowledge(KnowledgeMode::Gauged),
+            global(5),
+        ),
     ]
 }
 
 /// The pinned scenarios: every placement algorithm on a quick world, plus
 /// one larger world to exercise a different trace assignment.
 pub fn golden_cases() -> Vec<GoldenCase> {
-    fn quick4(alg: Algorithm) -> RunResult {
-        Experiment::quick(4, 11).run(alg)
+    fn quick4() -> Experiment {
+        Experiment::quick(4, 11)
     }
     vec![
-        GoldenCase {
-            name: "quick4-download-all",
-            run: || quick4(Algorithm::DownloadAll),
-        },
-        GoldenCase {
-            name: "quick4-one-shot",
-            run: || quick4(Algorithm::OneShot),
-        },
-        GoldenCase {
-            name: "quick4-global-30s",
-            run: || {
-                quick4(Algorithm::Global {
-                    period: SimDuration::from_secs(30),
-                })
-            },
-        },
-        GoldenCase {
-            name: "quick4-local-30s",
-            run: || {
-                quick4(Algorithm::Local {
-                    period: SimDuration::from_secs(30),
-                    extra_candidates: 0,
-                })
-            },
-        },
-        GoldenCase {
-            name: "quick6-global-60s",
-            run: || {
-                Experiment::quick(6, 23).run(Algorithm::Global {
-                    period: SimDuration::from_secs(60),
-                })
-            },
-        },
+        case("quick4-download-all", quick4, Algorithm::DownloadAll),
+        case("quick4-one-shot", quick4, Algorithm::OneShot),
+        case("quick4-global-30s", quick4, global(30)),
+        case("quick4-local-30s", quick4, local(30)),
+        case("quick6-global-60s", || Experiment::quick(6, 23), global(60)),
     ]
 }
 
@@ -221,8 +189,8 @@ mod tests {
 
     #[test]
     fn topo_cases_are_disjoint_from_default_cases() {
-        // The two fixtures pin different backends; a shared name would
-        // let one silently mask drift in the other.
+        // The two fixtures pin different worlds; a shared name would let
+        // one silently mask drift in the other.
         let defaults: std::collections::HashSet<_> =
             golden_cases().iter().map(|c| c.name).collect();
         for case in topo_golden_cases() {

@@ -12,8 +12,7 @@ use std::sync::Arc;
 use wadc_app::image::SizeDistribution;
 use wadc_app::workload::WorkloadParams;
 use wadc_core::engine::{Algorithm, EngineConfig};
-use wadc_core::experiment::Experiment;
-use wadc_net::link::LinkTable;
+use wadc_core::experiment::{Experiment, LinkTable};
 use wadc_plan::ids::HostId;
 use wadc_sim::rng::derive_seed2;
 use wadc_sim::time::SimDuration;

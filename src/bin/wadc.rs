@@ -553,7 +553,11 @@ fn cmd_study(flags: HashMap<String, String>) {
 
 fn cmd_trace(flags: HashMap<String, String>) {
     let seed = flag(&flags, "--seed", 1998u64);
-    let window = SimDuration::from_hours(flag(&flags, "--window-hours", 12u64));
+    let hours = flag(&flags, "--window-hours", 12u64);
+    if hours == 0 {
+        reject("--window-hours must be at least 1: an empty window has no bandwidth to summarise");
+    }
+    let window = SimDuration::from_hours(hours);
     let pair = flags
         .get("--pair")
         .map(String::as_str)
@@ -708,74 +712,57 @@ fn cmd_verify(flags: HashMap<String, String>) {
             extra_candidates: 0,
         },
     ];
-    println!("determinism + invariants: quick world, all four algorithms...");
-    let exp = Experiment::quick(4, seed);
-    for algorithm in all_algorithms {
-        match check_determinism(&exp, algorithm) {
-            Ok(digests) => println!("  {:<13} {digests}", algorithm.name()),
-            Err(e) => failures.push(format!("determinism: {e}")),
+    // The per-pair quick world and the paper-WAN topology world; the
+    // second label prefixes that world's failures.
+    let worlds = [
+        ("quick world", "", Experiment::quick(4, seed)),
+        (
+            "paper-WAN topology world",
+            "topo ",
+            Experiment::quick_topo(4, seed),
+        ),
+    ];
+    for (world, tag, exp) in &worlds {
+        println!("determinism + invariants: {world}, all four algorithms...");
+        for algorithm in all_algorithms {
+            match check_determinism(exp, algorithm) {
+                Ok(digests) => println!("  {:<13} {digests}", algorithm.name()),
+                Err(e) => failures.push(format!("{tag}determinism: {e}")),
+            }
+            let mut cfg = exp.template().clone();
+            cfg.algorithm = algorithm;
+            let result = exp.run(algorithm);
+            failures.extend(
+                check_run(&cfg, &result)
+                    .into_iter()
+                    .map(|v| format!("{tag}invariant: {} {v}", algorithm.name())),
+            );
         }
-        let mut cfg = exp.template().clone();
-        cfg.algorithm = algorithm;
-        let result = exp.run(algorithm);
-        failures.extend(
-            check_run(&cfg, &result)
-                .into_iter()
-                .map(|v| format!("invariant: {} {v}", algorithm.name())),
-        );
     }
 
-    println!("determinism + invariants: paper-WAN topology world, all four algorithms...");
-    let topo_exp = Experiment::quick_topo(4, seed);
-    for algorithm in all_algorithms {
-        match check_determinism(&topo_exp, algorithm) {
-            Ok(digests) => println!("  {:<13} {digests}", algorithm.name()),
-            Err(e) => failures.push(format!("topo determinism: {e}")),
-        }
-        let mut cfg = topo_exp.template().clone();
-        cfg.algorithm = algorithm;
-        let result = topo_exp.run(algorithm);
-        failures.extend(
-            check_run(&cfg, &result)
-                .into_iter()
-                .map(|v| format!("topo invariant: {} {v}", algorithm.name())),
-        );
-    }
-
-    println!("sweep: quick study, threads=1 vs threads={threads}...");
-    let sweep_params = StudyParams::quick(seed);
-    let sequential = run_study(&sweep_params);
-    let swept = run_study_parallel(&sweep_params, threads);
-    if sequential.digest() == swept.digest() {
-        println!(
-            "  study digest {:016x} identical across thread counts",
-            sequential.digest()
-        );
-    } else {
-        failures.push(format!(
-            "sweep: threads=1 study digest {:016x} != threads={threads} digest {:016x}",
-            sequential.digest(),
-            swept.digest()
-        ));
-    }
-
-    println!("sweep: quick topology study, threads=1 vs threads={threads}...");
     let mut topo_params = StudyParams::quick(seed);
     topo_params.n_configs = 2;
     topo_params.topology = Some(TopoPreset::PaperWan);
-    let topo_sequential = run_study(&topo_params);
-    let topo_swept = run_study_parallel(&topo_params, threads);
-    if topo_sequential.digest() == topo_swept.digest() {
-        println!(
-            "  topology study digest {:016x} identical across thread counts",
-            topo_sequential.digest()
-        );
-    } else {
-        failures.push(format!(
-            "topo sweep: threads=1 study digest {:016x} != threads={threads} digest {:016x}",
-            topo_sequential.digest(),
-            topo_swept.digest()
-        ));
+    let studies = [
+        ("quick study", "study", "", StudyParams::quick(seed)),
+        (
+            "quick topology study",
+            "topology study",
+            "topo ",
+            topo_params,
+        ),
+    ];
+    for (name, label, tag, params) in &studies {
+        println!("sweep: {name}, threads=1 vs threads={threads}...");
+        let sequential = run_study(params).digest();
+        let swept = run_study_parallel(params, threads).digest();
+        if sequential == swept {
+            println!("  {label} digest {sequential:016x} identical across thread counts");
+        } else {
+            failures.push(format!(
+                "{tag}sweep: threads=1 study digest {sequential:016x} != threads={threads} digest {swept:016x}"
+            ));
+        }
     }
 
     if !flags.contains_key("--quick") {

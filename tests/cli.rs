@@ -62,6 +62,10 @@ fn inputs_no_run_can_take_exit_2_with_the_reason() {
         (&["plan", "--servers", "0"], "at least two servers"),
         (&["study", "--configs", "0"], "--configs must be at least 1"),
         (&["chaos", "--servers", "1"], "at least two servers"),
+        (
+            &["trace", "--window-hours", "0"],
+            "--window-hours must be at least 1",
+        ),
     ] {
         assert_rejected(args, reason);
     }

@@ -9,9 +9,9 @@ use wadc::app::workload::WorkloadParams;
 use wadc::core::engine::{Algorithm, AuditEvent, EngineConfig, RunResult};
 use wadc::core::experiment::Experiment;
 use wadc::net::faults::FaultPlan;
-use wadc::net::link::LinkTable;
 use wadc::plan::ids::HostId;
 use wadc::sim::time::{SimDuration, SimTime};
+use wadc::topo::link::LinkTable;
 use wadc::trace::model::BandwidthTrace;
 use wadc::verify::invariants::assert_clean;
 
