@@ -10,7 +10,9 @@
 use wadc_core::engine::{Algorithm, RunResult};
 use wadc_core::experiment::Experiment;
 use wadc_core::knowledge::KnowledgeMode;
-use wadc_sim::time::SimDuration;
+use wadc_net::faults::FaultPlan;
+use wadc_plan::ids::HostId;
+use wadc_sim::time::{SimDuration, SimTime};
 
 use crate::determinism::RunDigests;
 
@@ -76,8 +78,23 @@ pub fn topo_golden_cases() -> Vec<GoldenCase> {
     ]
 }
 
-/// The pinned scenarios: every placement algorithm on a quick world, plus
-/// one larger world to exercise a different trace assignment.
+/// `Experiment::quick(4, seed)` under the fault plan `faults`.
+fn quick4_faulty(seed: u64, faults: FaultPlan) -> Experiment {
+    let mut exp = Experiment::quick(4, seed);
+    exp.template_mut().faults = faults;
+    exp
+}
+
+/// Server host 1 crashes for good at t = 5 s.
+fn host1_crash() -> FaultPlan {
+    FaultPlan::none().crash(HostId::new(1), SimTime::from_secs(5))
+}
+
+/// The pinned scenarios: every placement algorithm on a quick world, one
+/// larger world to exercise a different trace assignment, and one case
+/// per engine path clean monitored runs never take: forecast knowledge,
+/// message loss, failed moves, and crash failover under both on-line
+/// algorithms.
 pub fn golden_cases() -> Vec<GoldenCase> {
     fn quick4() -> Experiment {
         Experiment::quick(4, 11)
@@ -88,6 +105,35 @@ pub fn golden_cases() -> Vec<GoldenCase> {
         case("quick4-global-30s", quick4, global(30)),
         case("quick4-local-30s", quick4, local(30)),
         case("quick6-global-60s", || Experiment::quick(6, 23), global(60)),
+        case(
+            "quick4-global-5s-forecast",
+            || quick4().with_knowledge(KnowledgeMode::Forecast),
+            global(5),
+        ),
+        case(
+            "quick4-local-5s-loss",
+            || quick4_faulty(42, FaultPlan::none().with_loss(0.1)),
+            local(5),
+        ),
+        case(
+            "quick4-global-5s-move-failure",
+            || quick4_faulty(42, FaultPlan::none().with_move_failure(1.0)),
+            global(5),
+        ),
+        // Host 1 is declared dead and an operator respawned; the local
+        // run then stalls at 4 of 8 images (a respawned consumer
+        // re-demands an iteration its producer no longer holds) and is
+        // pinned as it behaves today.
+        case(
+            "quick4-global-30s-crash",
+            || quick4_faulty(12, host1_crash()),
+            global(30),
+        ),
+        case(
+            "quick4-local-30s-crash",
+            || quick4_faulty(23, host1_crash()),
+            local(30),
+        ),
     ]
 }
 
