@@ -15,6 +15,8 @@
 //! bandwidth values and (in local mode) its operator-location vector; both
 //! are charged to the message's wire size.
 
+use std::sync::Arc;
+
 use wadc_app::image::ImageDims;
 use wadc_mobile::protocol::MovePlan;
 use wadc_monitor::piggyback::Piggyback;
@@ -36,8 +38,8 @@ pub const PLACEMENT_ENTRY_BYTES: u64 = 8;
 pub struct PlacementUpdate {
     /// Proposal version (monotonically increasing per run).
     pub version: u32,
-    /// The proposed placement.
-    pub placement: Placement,
+    /// The proposed placement, shared by every demand that carries it.
+    pub placement: Arc<Placement>,
 }
 
 /// A request for a data partition.
@@ -96,8 +98,8 @@ pub enum Payload {
         version: u32,
         /// First iteration to execute under the new placement.
         switch_iteration: u32,
-        /// The committed placement.
-        placement: Placement,
+        /// The committed placement, shared by every commit message.
+        placement: Arc<Placement>,
     },
     /// A relocating operator's state arriving at its new host.
     OperatorState {
