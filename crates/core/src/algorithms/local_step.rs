@@ -15,7 +15,7 @@ use wadc_plan::cost::CostModel;
 use wadc_plan::ids::HostId;
 
 /// The local neighbourhood an operator can see.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalContext {
     /// Hosts of the operator's producers (its two children).
     pub producers: Vec<HostId>,
