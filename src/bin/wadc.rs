@@ -12,7 +12,7 @@
 //! wadc plan  [--servers N] [--seed S] [--objective critical-path|contended]
 //! wadc verify [--quick] [--seed S] [--print-golden] [--print-golden-topo]
 //! wadc chaos [--loss P] [--probe-blackhole P] [--move-failure P] [--outages N]
-//!            [--crash-host H] [--crash-at-secs S] [--seed S]
+//!            [--outage-mins M] [--crash-host H] [--crash-at-secs S] [--seed S]
 //! wadc chaos --soak N [--shrink] [--threads T] [--servers N] [--seed S]
 //! ```
 
@@ -49,7 +49,8 @@ fn usage() -> ! {
 
 run    simulate one configuration under one algorithm
          --servers N (8)  --algorithm download-all|one-shot|global|local (global)
-         --period-mins M (10)  --extra-candidates K (0, local only)
+         --period-mins M (10, global and local only)
+         --extra-candidates K (0, local only)
          --shape binary|left-deep (binary)
          --seed S (1998)  --config I (0)  --images N (180)  --audit
          --threads T (auto): run the download-all baseline and the
@@ -90,18 +91,19 @@ verify check engine conformance: golden digests, determinism, invariants,
 chaos  simulate one configuration under an injected fault plan and report
        recovery statistics against the clean run of the same world
          --loss P (0.05)  --probe-blackhole P (0)  --move-failure P (0)
-         --outages N (0)  --outage-mins M (5)
+         --outages N (0)  --outage-mins M (5, needs --outages)
          --crash-host H (none): permanently kill host H (the client is
-           host <servers>)  --crash-at-secs S (30)
+           host <servers>)  --crash-at-secs S (30, needs --crash-host)
          plus the world flags of `run` (see `report`)
        or run a randomized chaos soak on the quick world instead:
-         --soak N: run N seed-derived random fault plans (crashes,
-           outages, blackouts, loss) across all four algorithms; every
-           run must validate, reproduce bit for bit, pass the invariant
-           checker and end with an explicit outcome
+         --soak N (at least 1): run N seed-derived random fault plans
+           (crashes, outages, blackouts, loss) across all four
+           algorithms; every run must validate, reproduce bit for bit,
+           pass the invariant checker and end with an explicit outcome
          --shrink: on failure, reduce the plan to a minimal reproduction
          --servers N (4)  --seed S (1998)  --threads T (2, not clamped:
            the report is thread-count-invariant by construction)
+         the soak draws its own fault plans and takes no other flag
 
 Unknown flags and inputs no run can take exit 2 with the reason."
     );
@@ -155,10 +157,10 @@ const CHAOS_FLAGS: &[&str] = &[
     "--outage-mins",
     "--crash-host",
     "--crash-at-secs",
-    "--soak",
-    "--shrink",
-    "--threads",
 ];
+/// `chaos --soak` draws its own worlds and fault plans, so it takes none
+/// of the single run's world or fault flags.
+const SOAK_FLAGS: &[&str] = &["--soak", "--shrink", "--threads", "--servers", "--seed"];
 
 /// Prints why the input cannot run and exits 2, before anything runs.
 fn reject(reason: &str) -> ! {
@@ -240,9 +242,11 @@ fn write_or_die(path: &str, bytes: &[u8]) {
     }
 }
 
+/// Reads `--algorithm` and its parameters, rejecting a parameter the
+/// chosen algorithm would ignore.
 fn algorithm_from(flags: &HashMap<String, String>) -> Algorithm {
     let period = SimDuration::from_mins(flag(flags, "--period-mins", 10u64));
-    match flags
+    let algorithm = match flags
         .get("--algorithm")
         .map(String::as_str)
         .unwrap_or("global")
@@ -258,7 +262,16 @@ fn algorithm_from(flags: &HashMap<String, String>) -> Algorithm {
             eprintln!("unknown algorithm {other}");
             usage()
         }
+    };
+    if flags.contains_key("--period-mins")
+        && matches!(algorithm, Algorithm::DownloadAll | Algorithm::OneShot)
+    {
+        reject("--period-mins needs --algorithm global or local");
     }
+    if flags.contains_key("--extra-candidates") && !matches!(algorithm, Algorithm::Local { .. }) {
+        reject("--extra-candidates needs --algorithm local");
+    }
+    algorithm
 }
 
 fn shape_from(flags: &HashMap<String, String>) -> TreeShape {
@@ -800,13 +813,17 @@ fn cmd_verify(flags: HashMap<String, String>) {
 
 /// `wadc chaos --soak N`: randomized fault plans at scale on the sweep
 /// driver, with optional fault-plan shrinking on failure.
-fn cmd_chaos_soak(flags: &HashMap<String, String>, n_plans: usize) {
-    let servers = flag(flags, "--servers", 4usize);
-    let seed = flag(flags, "--seed", 1998u64);
+fn cmd_chaos_soak(flags: HashMap<String, String>) {
+    let n_plans = flag(&flags, "--soak", 0usize);
+    if n_plans == 0 {
+        reject("--soak must be at least 1");
+    }
+    let servers = flag(&flags, "--servers", 4usize);
+    let seed = flag(&flags, "--seed", 1998u64);
     // Not resolve_threads: like the verify gate, the soak's report is
     // sworn to be thread-count-invariant, so oversubscription is a
     // feature, not a mistake to clamp away.
-    let threads = flag(flags, "--threads", 2usize).max(1);
+    let threads = flag(&flags, "--threads", 2usize).max(1);
     let shrink = flags.contains_key("--shrink");
     check_world(&Experiment::quick(servers, seed), Algorithm::DownloadAll);
     println!(
@@ -828,14 +845,6 @@ fn cmd_chaos_soak(flags: &HashMap<String, String>, n_plans: usize) {
 }
 
 fn cmd_chaos(flags: HashMap<String, String>) {
-    if let Some(n_plans) = flags.get("--soak") {
-        let n_plans = n_plans.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for --soak: {n_plans}");
-            usage()
-        });
-        cmd_chaos_soak(&flags, n_plans);
-        return;
-    }
     let mut exp = build_experiment(&flags);
     let algorithm = algorithm_from(&flags);
     check_world(&exp, algorithm);
@@ -843,6 +852,12 @@ fn cmd_chaos(flags: HashMap<String, String>) {
     let probe_blackhole = flag(&flags, "--probe-blackhole", 0.0f64);
     let move_failure = flag(&flags, "--move-failure", 0.0f64);
     let outages = flag(&flags, "--outages", 0usize);
+    if outages == 0 && flags.contains_key("--outage-mins") {
+        reject("--outage-mins needs --outages of at least 1");
+    }
+    if flags.contains_key("--crash-at-secs") && !flags.contains_key("--crash-host") {
+        reject("--crash-at-secs needs --crash-host");
+    }
     let mut plan = FaultPlan::none()
         .with_loss(loss)
         .with_probe_blackhole(probe_blackhole)
@@ -916,6 +931,7 @@ fn main() {
         usage()
     };
     type Command = fn(HashMap<String, String>);
+    let soak = cmd == "chaos" && rest.iter().any(|a| a == "--soak");
     let (command, allowed): (Command, &[&[&str]]) = match cmd.as_str() {
         "run" => (cmd_run, &[WORLD_FLAGS, RUN_FLAGS]),
         "report" => (cmd_report, &[WORLD_FLAGS]),
@@ -923,8 +939,10 @@ fn main() {
         "trace" => (cmd_trace, &[TRACE_FLAGS]),
         "plan" => (cmd_plan, &[PLAN_FLAGS]),
         "verify" => (cmd_verify, &[VERIFY_FLAGS]),
+        "chaos" if soak => (cmd_chaos_soak, &[SOAK_FLAGS]),
         "chaos" => (cmd_chaos, &[WORLD_FLAGS, CHAOS_FLAGS]),
         _ => usage(),
     };
-    command(parse_flags(cmd, rest, allowed));
+    let name = if soak { "chaos --soak" } else { cmd.as_str() };
+    command(parse_flags(name, rest, allowed));
 }

@@ -46,6 +46,9 @@ fn every_subcommand_rejects_flags_it_does_not_take() {
         // Real flags, but of another subcommand.
         &["run", "--configs", "3"],
         &["report", "--audit"],
+        // Soak-only flags on a single chaos run.
+        &["chaos", "--shrink"],
+        &["chaos", "--threads", "2"],
     ] {
         let flag = args[1];
         assert_rejected(args, &format!("unknown flag {flag}"));
@@ -62,6 +65,45 @@ fn inputs_no_run_can_take_exit_2_with_the_reason() {
         (&["plan", "--servers", "0"], "at least two servers"),
         (&["study", "--configs", "0"], "--configs must be at least 1"),
         (&["chaos", "--servers", "1"], "at least two servers"),
+        (&["chaos", "--soak", "0"], "--soak must be at least 1"),
+        // The soak draws its own plans: single-run fault and world flags
+        // would be ignored.
+        (
+            &["chaos", "--soak", "3", "--loss", "0.5"],
+            "unknown flag --loss for `wadc chaos --soak`",
+        ),
+        (
+            &["chaos", "--soak", "3", "--images", "2"],
+            "unknown flag --images for `wadc chaos --soak`",
+        ),
+        (
+            &["chaos", "--outage-mins", "3"],
+            "--outage-mins needs --outages",
+        ),
+        (
+            &["chaos", "--outages", "0", "--outage-mins", "3"],
+            "--outage-mins needs --outages",
+        ),
+        (
+            &["chaos", "--crash-at-secs", "5"],
+            "--crash-at-secs needs --crash-host",
+        ),
+        (
+            &["run", "--extra-candidates", "3", "--algorithm", "global"],
+            "--extra-candidates needs --algorithm local",
+        ),
+        (
+            &["report", "--extra-candidates", "3"],
+            "--extra-candidates needs --algorithm local",
+        ),
+        (
+            &["run", "--period-mins", "5", "--algorithm", "download-all"],
+            "--period-mins needs --algorithm global or local",
+        ),
+        (
+            &["chaos", "--period-mins", "5", "--algorithm", "one-shot"],
+            "--period-mins needs --algorithm global or local",
+        ),
         (
             &["trace", "--window-hours", "0"],
             "--window-hours must be at least 1",
