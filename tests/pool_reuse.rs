@@ -6,6 +6,7 @@
 
 use wadc::core::engine::{Algorithm, RunResult, RunScratch};
 use wadc::core::experiment::Experiment;
+use wadc::core::knowledge::KnowledgeMode;
 use wadc::net::faults::FaultPlan;
 use wadc::plan::ids::HostId;
 use wadc::plan::placement::HostRoster;
@@ -33,31 +34,41 @@ fn assert_same(warm: &RunResult, cold: &RunResult, label: &str) {
     assert_eq!(warm.audit.events(), cold.audit.events(), "{label}");
 }
 
-/// One [`RunScratch`] cycles through the full algorithm portfolio, on
-/// both network backends (independent per-pair links and the paper-WAN
-/// shared-bottleneck topology), and every warm run must equal its cold
-/// twin bit for bit. By the later iterations the arena holds capacity
-/// recycled from every earlier algorithm's world — including the global
-/// algorithm's search scratch, the local algorithm's location vectors
-/// and the message pool — so this catches any reset that forgets state.
+/// One [`RunScratch`] cycles through the full algorithm portfolio under
+/// every knowledge mode, on both network backends (independent per-pair
+/// links and the paper-WAN shared-bottleneck topology), and every warm
+/// run must equal its cold twin bit for bit. By the later iterations the
+/// arena holds capacity recycled from every earlier world — including
+/// the global algorithm's search scratch, the local algorithm's location
+/// vectors, the hosts' caches and forecasters, and the message pool — so
+/// this catches any reset that forgets state.
 #[test]
 fn warm_arena_runs_are_bit_identical_to_cold_runs() {
     for seed in [7u64, 1998] {
-        for (backend, exp) in [
+        for (backend, world) in [
             ("per-pair", Experiment::quick(4, seed)),
             ("paper-wan", Experiment::quick_topo(4, seed)),
         ] {
             let mut scratch = RunScratch::new();
-            for alg in all_algorithms() {
-                let cold = exp.run(alg);
-                let warm_a = exp.run_scratch(alg, &mut scratch);
-                let warm_b = exp.run_scratch(alg, &mut scratch);
-                for (which, warm) in [("first", &warm_a), ("second", &warm_b)] {
-                    let label = format!(
-                        "{which} warm-arena {} run (seed {seed}, {backend} backend)",
-                        alg.name()
-                    );
-                    assert_same(warm, &cold, &label);
+            for knowledge in [
+                KnowledgeMode::Monitored,
+                KnowledgeMode::Oracle,
+                KnowledgeMode::Forecast,
+                KnowledgeMode::Gauged,
+            ] {
+                let exp = world.clone().with_knowledge(knowledge);
+                for alg in all_algorithms() {
+                    let cold = exp.run(alg);
+                    let warm_a = exp.run_scratch(alg, &mut scratch);
+                    let warm_b = exp.run_scratch(alg, &mut scratch);
+                    for (which, warm) in [("first", &warm_a), ("second", &warm_b)] {
+                        let label = format!(
+                            "{which} warm-arena {} run (seed {seed}, {backend} backend, \
+                             {knowledge:?} knowledge)",
+                            alg.name()
+                        );
+                        assert_same(warm, &cold, &label);
+                    }
                 }
             }
             assert!(
