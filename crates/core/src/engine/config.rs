@@ -226,6 +226,17 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
+    /// The most servers a world may have. Building a world allocates a
+    /// link table quadratic in the host count, and a run's memory grows
+    /// faster than that: a one-image, one-shot run of 256 servers peaks
+    /// near 660 MiB, and 1,024 servers exhaust 16 GiB.
+    pub const MAX_SERVERS: usize = 256;
+
+    /// The most images per server a run may combine. Iteration numbers
+    /// are 32-bit, and this bound keeps a run's length in proportion to
+    /// the paper's 180-image workload.
+    pub const MAX_IMAGES_PER_SERVER: usize = 100_000;
+
     /// A configuration with the paper's defaults for the given server
     /// count and algorithm.
     pub fn new(n_servers: usize, algorithm: Algorithm) -> Self {
@@ -253,9 +264,9 @@ impl EngineConfig {
     }
 
     /// Checks the configuration for mistakes that would otherwise surface
-    /// as confusing behaviour deep inside a run: degenerate server counts,
-    /// empty workloads, zero-period adaptive algorithms, malformed fault
-    /// plans and retry policies.
+    /// as confusing behaviour deep inside a run: degenerate or oversized
+    /// server counts, empty or oversized workloads, zero-period adaptive
+    /// algorithms, malformed fault plans and retry policies.
     ///
     /// [`crate::experiment::Experiment::engine_scratch`] calls this before
     /// it builds the tree or the world, so a bad configuration fails with
@@ -272,8 +283,23 @@ impl EngineConfig {
                 self.n_servers
             ));
         }
+        if self.n_servers > Self::MAX_SERVERS {
+            return Err(format!(
+                "engine config: at most {} servers, got {} (a world's link table grows \
+                 with the square of the server count)",
+                Self::MAX_SERVERS,
+                self.n_servers
+            ));
+        }
         if self.workload.images_per_server == 0 {
             return Err("engine config: zero-image workload — nothing to combine".into());
+        }
+        if self.workload.images_per_server > Self::MAX_IMAGES_PER_SERVER {
+            return Err(format!(
+                "engine config: at most {} images per server, got {}",
+                Self::MAX_IMAGES_PER_SERVER,
+                self.workload.images_per_server
+            ));
         }
         match self.algorithm {
             Algorithm::Global { period } if period.is_zero() => {
@@ -566,6 +592,22 @@ mod tests {
         zero_images.workload.images_per_server = 0;
         let err = zero_images.validate().unwrap_err();
         assert!(err.contains("zero-image"), "got: {err}");
+
+        let at_bounds = EngineConfig::new(EngineConfig::MAX_SERVERS, Algorithm::OneShot);
+        assert!(at_bounds.validate().is_ok());
+        let err = EngineConfig::new(EngineConfig::MAX_SERVERS + 1, Algorithm::OneShot)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("at most 256 servers"), "got: {err}");
+        let mut many_images = EngineConfig::new(4, Algorithm::OneShot);
+        many_images.workload.images_per_server = EngineConfig::MAX_IMAGES_PER_SERVER;
+        assert!(many_images.validate().is_ok());
+        many_images.workload.images_per_server += 1;
+        let err = many_images.validate().unwrap_err();
+        assert!(
+            err.contains("at most 100000 images per server"),
+            "got: {err}"
+        );
 
         let zero_global = EngineConfig::new(
             4,

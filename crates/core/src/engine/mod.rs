@@ -225,7 +225,8 @@ impl Engine {
             "topology must cover one host per server plus the client"
         );
 
-        let n_iterations = cfg.workload.images_per_server as u32;
+        let n_iterations = u32::try_from(cfg.workload.images_per_server)
+            .expect("validate bounds the images per server");
         let n_hosts = roster.host_count();
         // Seed stream 4 is reserved for fault injection (1 = workload,
         // 2 = engine decisions, 3 = probe stagger). An empty plan builds

@@ -248,9 +248,8 @@ impl Experiment {
     }
 
     /// Sets an explicit host roster (builder-style). The roster may place
-    /// several servers on one host or bind servers to replica hosts chosen
-    /// by [`crate::replication`]; the topology must cover exactly the
-    /// roster's hosts.
+    /// several servers on one host or bind a server to a host other than
+    /// its own; the topology must cover exactly the roster's hosts.
     pub fn with_roster(mut self, roster: HostRoster) -> Self {
         self.roster = Some(roster);
         self

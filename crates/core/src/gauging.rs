@@ -24,7 +24,7 @@ use wadc_monitor::forecast::Forecaster;
 use wadc_monitor::gauge::Gauge;
 use wadc_plan::ids::HostId;
 use wadc_sim::time::{SimDuration, SimTime};
-use wadc_topo::fair::max_min_shares;
+use wadc_topo::fair::{max_min_shares, FairScratch};
 use wadc_topo::graph::{LinkId, Topology, TopologyBuilder};
 use wadc_trace::model::BandwidthTrace;
 use wadc_trace::synth::{generate, SynthParams};
@@ -103,14 +103,11 @@ pub fn compare_instruments(concurrent_flows: usize, seed: u64) -> GaugeAnalysisR
     assert!(concurrent_flows >= 1, "need at least one flow");
     let (topo, _backbone) = backbone_world(concurrent_flows, seed);
     let client = HostId::new(concurrent_flows);
-    let paths: Vec<Vec<LinkId>> = (0..concurrent_flows)
-        .map(|i| topo.route(HostId::new(i), client).to_vec())
-        .collect();
-    let path_refs: Vec<&[LinkId]> = paths.iter().map(Vec::as_slice).collect();
 
     let mut forecaster = Forecaster::new(FORECAST_WINDOW);
     let mut gauge = Gauge::new();
     let mut capacities = vec![0.0; topo.link_count()];
+    let mut fair = FairScratch::default();
     let mut rates = Vec::new();
 
     let sample_every = SimDuration::from_secs(5);
@@ -122,7 +119,13 @@ pub fn compare_instruments(concurrent_flows: usize, seed: u64) -> GaugeAnalysisR
         for (i, cap) in capacities.iter_mut().enumerate() {
             *cap = topo.link(LinkId::new(i)).trace.bandwidth_at(t);
         }
-        max_min_shares(&capacities, &path_refs, &mut rates);
+        max_min_shares(
+            &capacities,
+            concurrent_flows,
+            |i| topo.route(HostId::new(i), client),
+            &mut fair,
+            &mut rates,
+        );
         for (i, &truth) in rates.iter().enumerate() {
             let src = HostId::new(i);
             if step > 0 {

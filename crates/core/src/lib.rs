@@ -48,7 +48,6 @@ pub mod engine;
 pub mod experiment;
 pub mod gauging;
 pub mod knowledge;
-pub mod replication;
 pub mod study;
 pub mod sweep;
 

@@ -31,8 +31,9 @@ use std::sync::Arc;
 
 use wadc_plan::ids::HostId;
 use wadc_sim::time::SimTime;
-use wadc_topo::fair::{check_max_min, max_min_shares};
+use wadc_topo::fair::{check_max_min, max_min_shares, FairScratch};
 use wadc_topo::graph::{LinkId, Topology};
+use wadc_trace::model::TraceCursor;
 
 use crate::faults::FaultPlan;
 use crate::network::{StartedTransfer, TransferId, TransferSpec};
@@ -107,8 +108,14 @@ pub(crate) struct TopoScratch {
     /// Completion-time corrections the engine must apply (cancel the old
     /// completion event, schedule the new one).
     resched: Vec<StartedTransfer>,
-    // Reused scratch for the recompute.
+    // Reused scratch for the recompute, which allocates nothing once
+    // these have grown.
     capacities: Vec<f64>,
+    /// One capacity-lookup hint per topology link.
+    link_cursors: Vec<TraceCursor>,
+    /// Indices into `flows` of the managed flows, in order.
+    managed: Vec<usize>,
+    fair: FairScratch,
     rates: Vec<f64>,
     managed_links: Vec<LinkId>,
 }
@@ -119,6 +126,15 @@ impl TopoModel {
     pub(crate) fn new(topo: Arc<Topology>, mut buf: TopoScratch) -> Self {
         buf.flows.clear();
         buf.resched.clear();
+        // Only a topology with a shared link ever recomputes, so a
+        // per-pair world leaves the cursors unallocated.
+        let cursors = if topo.has_shared_link() {
+            topo.link_count()
+        } else {
+            0
+        };
+        buf.link_cursors.clear();
+        buf.link_cursors.resize(cursors, TraceCursor::new());
         TopoModel {
             topo,
             last_recompute: SimTime::ZERO,
@@ -337,21 +353,29 @@ impl TopoModel {
         let TopoScratch {
             flows,
             capacities,
+            link_cursors,
+            managed,
+            fair,
             rates,
             ..
         } = buf;
         capacities.clear();
         capacities.extend(
-            (0..topo.link_count()).map(|i| topo.link(LinkId::new(i)).trace.bandwidth_at(now)),
+            link_cursors
+                .iter_mut()
+                .enumerate()
+                .map(|(i, c)| topo.link(LinkId::new(i)).trace.bandwidth_at_with(c, now)),
         );
-        let paths: Vec<&[LinkId]> = flows
-            .iter()
-            .filter(|f| f.managed)
-            .map(|f| topo.route(f.src, f.dst))
-            .collect();
-        max_min_shares(capacities, &paths, rates);
+        managed.clear();
+        managed.extend((0..flows.len()).filter(|&i| flows[i].managed));
+        let route = |r: usize| topo.route(flows[managed[r]].src, flows[managed[r]].dst);
+        max_min_shares(capacities, managed.len(), route, fair, rates);
         debug_assert_eq!(
-            check_max_min(capacities, &paths, rates),
+            check_max_min(
+                capacities,
+                &(0..managed.len()).map(route).collect::<Vec<_>>(),
+                rates
+            ),
             Ok(()),
             "fair shares at {now}"
         );

@@ -14,13 +14,25 @@
 
 use crate::graph::LinkId;
 
+/// The working buffers of [`max_min_shares`]: remaining capacity and
+/// unfrozen-flow count per link, and a frozen flag per flow. Reusing one
+/// across calls makes a recompute allocation-free once the buffers have
+/// grown to the largest instance; only their capacity survives a call.
+#[derive(Debug, Clone, Default)]
+pub struct FairScratch {
+    remaining: Vec<f64>,
+    unfrozen_on: Vec<usize>,
+    frozen: Vec<bool>,
+}
+
 /// Computes the max-min fair rate of every flow.
 ///
 /// `capacities[l]` is the instantaneous capacity (bytes/sec) of link
-/// `LinkId(l)`; `flows[f]` is the link path of flow `f`. Rates are
-/// written into `rates` (cleared first), `rates[f]` belonging to
-/// `flows[f]`. Ties in the bottleneck search resolve to the lowest link
-/// index, so the result is deterministic.
+/// `LinkId(l)`; `path(f)` is the link path of flow `f`, for each of the
+/// `n_flows` flows. Rates are written into `rates` (cleared first),
+/// `rates[f]` belonging to flow `f`. Ties in the bottleneck search
+/// resolve to the lowest link index, so the result is deterministic, and
+/// it does not depend on what `scratch` held before the call.
 ///
 /// # Panics
 ///
@@ -30,47 +42,62 @@ use crate::graph::LinkId;
 /// # Examples
 ///
 /// ```
-/// use wadc_topo::fair::max_min_shares;
+/// use wadc_topo::fair::{max_min_shares, FairScratch};
 /// use wadc_topo::graph::LinkId;
 ///
 /// // Two flows share link 0 (cap 100); flow 1 also crosses link 1 (cap 30).
 /// // Flow 1 is bottlenecked at 30, leaving 70 for flow 0.
 /// let caps = [100.0, 30.0];
-/// let flows: Vec<Vec<LinkId>> = vec![vec![LinkId::new(0)], vec![LinkId::new(0), LinkId::new(1)]];
-/// let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.as_slice()).collect();
+/// let flows = [vec![LinkId::new(0)], vec![LinkId::new(0), LinkId::new(1)]];
+/// let mut scratch = FairScratch::default();
 /// let mut rates = Vec::new();
-/// max_min_shares(&caps, &paths, &mut rates);
+/// max_min_shares(&caps, flows.len(), |f| &flows[f], &mut scratch, &mut rates);
 /// assert_eq!(rates, vec![70.0, 30.0]);
 /// ```
-pub fn max_min_shares(capacities: &[f64], flows: &[&[LinkId]], rates: &mut Vec<f64>) {
+pub fn max_min_shares<'p>(
+    capacities: &[f64],
+    n_flows: usize,
+    path: impl Fn(usize) -> &'p [LinkId],
+    scratch: &mut FairScratch,
+    rates: &mut Vec<f64>,
+) {
     rates.clear();
-    rates.resize(flows.len(), 0.0);
-    if flows.is_empty() {
+    rates.resize(n_flows, 0.0);
+    if n_flows == 0 {
         return;
     }
-    for path in flows {
-        assert!(!path.is_empty(), "a flow crosses at least one link");
-        for l in *path {
+    for f in 0..n_flows {
+        let p = path(f);
+        assert!(!p.is_empty(), "a flow crosses at least one link");
+        for l in p {
             assert!(l.index() < capacities.len(), "flow references unknown link");
         }
     }
 
     // Remaining capacity and unfrozen-flow count per link.
-    let mut remaining: Vec<f64> = capacities.to_vec();
-    let mut unfrozen_on: Vec<usize> = vec![0; capacities.len()];
-    for path in flows {
-        for l in *path {
+    let FairScratch {
+        remaining,
+        unfrozen_on,
+        frozen,
+    } = scratch;
+    remaining.clear();
+    remaining.extend_from_slice(capacities);
+    unfrozen_on.clear();
+    unfrozen_on.resize(capacities.len(), 0);
+    for f in 0..n_flows {
+        for l in path(f) {
             unfrozen_on[l.index()] += 1;
         }
     }
-    let mut frozen: Vec<bool> = vec![false; flows.len()];
+    frozen.clear();
+    frozen.resize(n_flows, false);
     let mut n_frozen = 0usize;
 
-    while n_frozen < flows.len() {
+    while n_frozen < n_flows {
         // The bottleneck: the link whose equal split of remaining
         // capacity among its unfrozen flows is smallest.
         let mut best: Option<(usize, f64)> = None;
-        for (l, (&cap, &cnt)) in remaining.iter().zip(&unfrozen_on).enumerate() {
+        for (l, (&cap, &cnt)) in remaining.iter().zip(unfrozen_on.iter()).enumerate() {
             if cnt == 0 {
                 continue;
             }
@@ -83,14 +110,15 @@ pub fn max_min_shares(capacities: &[f64], flows: &[&[LinkId]], rates: &mut Vec<f
         let (bottleneck, share) = best.expect("unfrozen flows cross at least one link");
 
         // Freeze every unfrozen flow crossing the bottleneck at `share`.
-        for (f, path) in flows.iter().enumerate() {
-            if frozen[f] || !path.contains(&LinkId::new(bottleneck)) {
+        for f in 0..n_flows {
+            let p = path(f);
+            if frozen[f] || !p.contains(&LinkId::new(bottleneck)) {
                 continue;
             }
             frozen[f] = true;
             n_frozen += 1;
             rates[f] = share;
-            for l in *path {
+            for l in p {
                 remaining[l.index()] = (remaining[l.index()] - share).max(0.0);
                 unfrozen_on[l.index()] -= 1;
             }
@@ -159,9 +187,12 @@ mod tests {
     }
 
     fn shares(caps: &[f64], flows: &[Vec<LinkId>]) -> Vec<f64> {
-        let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.as_slice()).collect();
+        shares_with(caps, flows, &mut FairScratch::default())
+    }
+
+    fn shares_with(caps: &[f64], flows: &[Vec<LinkId>], scratch: &mut FairScratch) -> Vec<f64> {
         let mut rates = Vec::new();
-        max_min_shares(caps, &paths, &mut rates);
+        max_min_shares(caps, flows.len(), |f| &flows[f], scratch, &mut rates);
         rates
     }
 
@@ -272,13 +303,17 @@ mod tests {
         }
     }
 
+    /// One scratch serves every instance, though link and flow counts
+    /// vary between them: each result must equal a fresh-scratch call.
     #[test]
     fn certificate_accepts_progressive_filling_on_random_instances() {
+        let mut scratch = FairScratch::default();
         for seed in 0..20u64 {
             let mut rng = Rng64::seed_from_u64(0xFA_1E_00 + seed);
             for case in 0..100 {
                 let (caps, flows) = random_instance(&mut rng);
-                let rates = shares(&caps, &flows);
+                let rates = shares_with(&caps, &flows, &mut scratch);
+                assert_eq!(rates, shares(&caps, &flows), "seed {seed} case {case}");
                 assert_eq!(
                     certify(&caps, &flows, &rates),
                     Ok(()),

@@ -190,20 +190,22 @@ impl TopologyBuilder {
     }
 }
 
-/// Pointwise minimum of several step functions: merge every boundary,
-/// take the minimum bandwidth in each merged segment, compress runs.
-fn min_trace<'a>(traces: impl Iterator<Item = &'a BandwidthTrace> + Clone) -> BandwidthTrace {
-    let mut boundaries: Vec<SimTime> = traces
-        .clone()
-        .flat_map(|t| t.samples().iter().map(|s| s.at))
-        .collect();
-    boundaries.sort_unstable();
-    boundaries.dedup();
-    let mut samples: Vec<Sample> = Vec::with_capacity(boundaries.len());
-    for at in boundaries {
-        let bw = traces
-            .clone()
-            .map(|t| t.bandwidth_at(at))
+/// Pointwise minimum of several step functions, in one linear pass. Every
+/// trace starts at time zero; one cursor per trace marks the sample in
+/// effect. At each boundary the minimum over the traces (in order) is
+/// folded and runs of equal value are compressed; then every trace whose
+/// next sample sits at the earliest next boundary advances.
+fn min_trace<'a>(traces: impl Iterator<Item = &'a BandwidthTrace>) -> BandwidthTrace {
+    let mut cursors: Vec<(&[Sample], usize)> = traces.map(|t| (t.samples(), 0)).collect();
+    // Traces sampled on one grid share every boundary, so the longest
+    // trace is usually the merged length.
+    let longest = cursors.iter().map(|(s, _)| s.len()).max().unwrap_or(0);
+    let mut samples: Vec<Sample> = Vec::with_capacity(longest);
+    let mut at = SimTime::ZERO;
+    loop {
+        let bw = cursors
+            .iter()
+            .map(|&(s, i)| s[i].bytes_per_sec)
             .fold(f64::INFINITY, f64::min);
         if samples.last().map(|s| s.bytes_per_sec) != Some(bw) {
             samples.push(Sample {
@@ -211,6 +213,16 @@ fn min_trace<'a>(traces: impl Iterator<Item = &'a BandwidthTrace> + Clone) -> Ba
                 bytes_per_sec: bw,
             });
         }
+        let next_at = |&(s, i): &(&[Sample], usize)| s.get(i + 1).map(|n| n.at);
+        let Some(next) = cursors.iter().filter_map(next_at).min() else {
+            break;
+        };
+        for c in &mut cursors {
+            if next_at(c) == Some(next) {
+                c.1 += 1;
+            }
+        }
+        at = next;
     }
     BandwidthTrace::from_samples(samples).expect("merged boundaries form a valid trace")
 }
@@ -422,6 +434,63 @@ mod tests {
         assert_eq!(m.bandwidth_at(SimTime::from_secs(5)), 50.0);
         assert_eq!(m.bandwidth_at(SimTime::from_secs(10)), 50.0);
         assert_eq!(m.len(), 2, "equal-value runs are compressed");
+    }
+
+    /// The merge as first written, kept as the oracle for [`min_trace`]:
+    /// collect every boundary, sort and dedup them, and binary-search
+    /// every trace at each one.
+    fn min_trace_by_sort(traces: &[&BandwidthTrace]) -> BandwidthTrace {
+        let mut boundaries: Vec<SimTime> = traces
+            .iter()
+            .flat_map(|t| t.samples().iter().map(|s| s.at))
+            .collect();
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        let mut samples: Vec<Sample> = Vec::with_capacity(boundaries.len());
+        for at in boundaries {
+            let bw = traces
+                .iter()
+                .map(|t| t.bandwidth_at(at))
+                .fold(f64::INFINITY, f64::min);
+            if samples.last().map(|s| s.bytes_per_sec) != Some(bw) {
+                samples.push(Sample {
+                    at,
+                    bytes_per_sec: bw,
+                });
+            }
+        }
+        BandwidthTrace::from_samples(samples).expect("merged boundaries form a valid trace")
+    }
+
+    /// 2–4 traces per case, 1–40 samples each at random integer-second
+    /// gaps, bandwidths from a four-value set: equal-value runs, shared
+    /// boundaries and one trace outlasting the others are all common.
+    #[test]
+    fn min_trace_matches_the_sort_based_merge() {
+        use wadc_sim::rng::Rng64;
+        let mut rng = Rng64::seed_from_u64(0x4d_16_7e);
+        for case in 0..500 {
+            let traces: Vec<BandwidthTrace> = (0..rng.range_usize(3) + 2)
+                .map(|_| {
+                    let mut t = 0.0;
+                    let steps: Vec<(f64, f64)> = (0..rng.range_usize(40) + 1)
+                        .map(|k| {
+                            if k > 0 {
+                                t += (rng.range_usize(4) + 1) as f64;
+                            }
+                            (t, [10.0, 20.0, 30.0, 40.0][rng.range_usize(4)])
+                        })
+                        .collect();
+                    BandwidthTrace::from_steps(&steps).unwrap()
+                })
+                .collect();
+            let refs: Vec<&BandwidthTrace> = traces.iter().collect();
+            assert_eq!(
+                min_trace(refs.iter().copied()),
+                min_trace_by_sort(&refs),
+                "case {case}: {traces:?}"
+            );
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod graph;
 pub mod link;
 pub mod preset;
 
-pub use fair::{check_max_min, max_min_shares};
+pub use fair::{check_max_min, max_min_shares, FairScratch};
 pub use graph::{LinkId, TopoLink, Topology, TopologyBuilder};
 pub use link::{LinkTable, OracleView};
 pub use preset::{build_preset, TopoPreset};

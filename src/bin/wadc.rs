@@ -105,7 +105,12 @@ chaos  simulate one configuration under an injected fault plan and report
            the report is thread-count-invariant by construction)
          the soak draws its own fault plans and takes no other flag
 
-Unknown flags and inputs no run can take exit 2 with the reason."
+World sizes are bounded: --servers from 2 to {max_servers} and --images from 1 to
+{max_images} per server.
+
+Unknown flags and inputs no run can take exit 2 with the reason.",
+        max_servers = EngineConfig::MAX_SERVERS,
+        max_images = EngineConfig::MAX_IMAGES_PER_SERVER,
     );
     std::process::exit(2)
 }
@@ -166,6 +171,21 @@ const SOAK_FLAGS: &[&str] = &["--soak", "--shrink", "--threads", "--servers", "-
 fn reject(reason: &str) -> ! {
     eprintln!("error: {reason}");
     std::process::exit(2)
+}
+
+/// Rejects `--servers` and `--images` values no world can take — below
+/// the minimum or above `EngineConfig`'s bounds — before any world is
+/// built: building one allocates a link table quadratic in the server
+/// count, so an oversized request would exhaust memory first.
+fn check_size(flags: &HashMap<String, String>, default_servers: usize) {
+    let mut cfg = EngineConfig::new(
+        flag(flags, "--servers", default_servers),
+        Algorithm::DownloadAll,
+    );
+    cfg.workload.images_per_server = flag(flags, "--images", cfg.workload.images_per_server);
+    if let Err(e) = cfg.validate() {
+        reject(&e);
+    }
 }
 
 /// Rejects a world `algorithm` cannot run on: a configuration
@@ -312,6 +332,7 @@ fn knowledge_from(flags: &HashMap<String, String>) -> KnowledgeMode {
 }
 
 fn build_experiment(flags: &HashMap<String, String>) -> Experiment {
+    check_size(flags, 8);
     let servers = flag(flags, "--servers", 8usize);
     let seed = flag(flags, "--seed", 1998u64);
     let config = flag(flags, "--config", 0u64);
@@ -533,9 +554,7 @@ fn cmd_study(flags: HashMap<String, String>) {
     if params.n_configs == 0 {
         reject("--configs must be at least 1: a study of no configurations compares nothing");
     }
-    if let Err(e) = EngineConfig::new(params.n_servers, Algorithm::DownloadAll).validate() {
-        reject(&e);
-    }
+    check_size(&flags, 8);
     let threads = resolve_threads(&flags);
     println!(
         "running {} configurations x 4 algorithms ({} servers, {} threads, knowledge {}{})...",
@@ -610,6 +629,7 @@ fn cmd_trace(flags: HashMap<String, String>) {
 }
 
 fn cmd_plan(flags: HashMap<String, String>) {
+    check_size(&flags, 8);
     let servers = flag(&flags, "--servers", 8usize);
     let seed = flag(&flags, "--seed", 1998u64);
     let config = flag(&flags, "--config", 0u64);
@@ -818,6 +838,7 @@ fn cmd_chaos_soak(flags: HashMap<String, String>) {
     if n_plans == 0 {
         reject("--soak must be at least 1");
     }
+    check_size(&flags, 4);
     let servers = flag(&flags, "--servers", 4usize);
     let seed = flag(&flags, "--seed", 1998u64);
     // Not resolve_threads: like the verify gate, the soak's report is

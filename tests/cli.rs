@@ -108,6 +108,20 @@ fn inputs_no_run_can_take_exit_2_with_the_reason() {
             &["trace", "--window-hours", "0"],
             "--window-hours must be at least 1",
         ),
+        // Oversized worlds are refused before their link table is built.
+        (
+            &["run", "--servers", "100000", "--images", "1"],
+            "at most 256 servers",
+        ),
+        (&["plan", "--servers", "40000"], "at most 256 servers"),
+        (
+            &["run", "--images", "100001"],
+            "at most 100000 images per server",
+        ),
+        (
+            &["chaos", "--soak", "1", "--servers", "257"],
+            "at most 256 servers",
+        ),
     ] {
         assert_rejected(args, reason);
     }
