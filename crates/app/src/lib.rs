@@ -29,7 +29,6 @@
 
 pub mod compose;
 pub mod image;
-pub mod pgm;
 pub mod workload;
 
 pub use compose::{compose, compose_secs, expand, SelectRule, PAPER_SECS_PER_PIXEL};

@@ -58,6 +58,7 @@ fn parse_args() -> Args {
             other => panic!("unknown flag {other}"),
         }
     }
+    wadc_bench::require_configs(args.configs);
     args
 }
 

@@ -1,11 +1,8 @@
 //! Perf-regression harness: wall-clock throughput of the three measured
 //! hot paths — the DES kernel's event queue, the placement search, and
-//! monotone bandwidth-trace lookups — plus a reduced paper-main study,
-//! the quick study and two paper-WAN studies (`study_topo` at quick
-//! scale, `study_wan` at full scale) as end-to-end proxies, and the
-//! `study_full_t{1,4}` pair: the paper's full 300-configuration study on
-//! the work-stealing sweep driver at one and four threads, whose runs/sec
-//! ratio is the sweep fabric's scaling headline.
+//! monotone bandwidth-trace lookups — plus an untimed allocation gate over
+//! seven studies. End-to-end study time is the repository benchmark's job
+//! (`studybench/`), so this harness times no study.
 //!
 //! ```sh
 //! cargo run --release -p wadc-bench --bin perf \
@@ -13,20 +10,19 @@
 //! ```
 //!
 //! Emits `BENCH_perf.json` (override with `--json`): schema
-//! `wadc-bench-perf-v2`, an array of benches keeping every v1 timing
-//! field (`name`, `iterations`, `units_per_iteration`, `median_secs`,
-//! `mean_secs`, `events_per_sec`) and adding allocation traffic measured
-//! by the [`wadc_bench::alloc`] counting allocator over the *final*
-//! repetition — the steady state, after every pool and cache is warm:
-//! `allocs`, `frees`, `bytes_allocated`, `peak_bytes`, `allocs_per_unit`.
+//! `wadc-bench-perf-v2`, one row per microbench with its timings (`name`,
+//! `iterations`, `units_per_iteration`, `median_secs`, `mean_secs`,
+//! `events_per_sec`) and the allocation traffic of the final repetition,
+//! measured by the [`wadc_bench::alloc`] counting allocator: `allocs`,
+//! `frees`, `bytes_allocated`, `peak_bytes`, `allocs_per_unit`.
 //!
 //! Timings are informational — the harness fails only on panic, so CI can
 //! run it at reduced scale without flaking on machine noise. Allocation
-//! counts are *deterministic* (fixed seeds, single-threaded measurement),
-//! so `--alloc-gate` turns them into a hard regression gate: if the
-//! steady-state allocations per unit of work in the study benches exceed
-//! the committed thresholds, the run exits nonzero. That keeps the
-//! panics-not-timings rule — the gate never looks at a clock.
+//! counts are *deterministic* (fixed seeds; the sequential studies also
+//! single-threaded), so `--alloc-gate` runs each gated study once inside
+//! an [`AllocScope`] and exits nonzero if its allocations per engine run
+//! or its peak live bytes exceed the committed budgets. The gate never
+//! looks at a clock.
 //!
 //! The workloads are deterministic (fixed seeds, no wall-clock feedback),
 //! so two builds of the same scale do the same work and their numbers are
@@ -38,8 +34,6 @@ use std::time::Instant;
 use wadc_bench::alloc::{AllocScope, AllocStats, CountingAlloc};
 use wadc_bench::json::Json;
 use wadc_core::algorithms::one_shot_placement;
-use wadc_core::engine::{Algorithm, RunScratch};
-use wadc_core::experiment::Experiment;
 use wadc_core::knowledge::KnowledgeMode;
 use wadc_core::study::{run_study, run_study_parallel, StudyParams};
 use wadc_plan::bandwidth::BwMatrix;
@@ -56,11 +50,10 @@ use wadc_trace::model::BandwidthTrace;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Steady-state allocation budgets for the end-to-end study benches, in
-/// allocations per unit of work (one unit = one engine run). Checked by
-/// `--alloc-gate`. The values are the post-pooling measurements with
-/// roughly 2× headroom — far below the pre-pooling baseline (see
-/// `results/BENCH_perf_baseline_pr5.json`), so an accidental
+/// Allocation budgets for the gated studies, in allocations per engine
+/// run. Checked by `--alloc-gate`. The values are the post-pooling
+/// measurements with roughly 2× headroom — far below the pre-pooling
+/// steady state (~1,756 allocs/run on the quick study), so an accidental
 /// reintroduction of per-message or per-poll allocation churn trips the
 /// gate long before it costs wall-clock time. Raise them only with a
 /// matching analysis in DESIGN.md §6b.
@@ -73,18 +66,17 @@ const MAX_ALLOCS_PER_RUN_STUDY_REDUCED: f64 = 450.0;
 /// The quick study over the paper-WAN shared-bottleneck topology. The
 /// fair-share model keeps per-flow state, reschedules completions on
 /// every recompute, and builds the topology graph per configuration, so
-/// its steady state is costlier than a per-pair world's (~91 allocs/run
-/// measured vs ~77); the budget is about twice the ~95 measured before
+/// its steady state is costlier than a per-pair world's (~87 allocs/run
+/// measured vs ~73); the budget is about twice the ~95 measured before
 /// the fair-share recompute stopped allocating.
 const MAX_ALLOCS_PER_RUN_STUDY_TOPO: f64 = 190.0;
 /// Four full-scale paper-WAN configurations with gauged knowledge. Every
 /// planning probe of the global algorithm is a fair-shared flow here, so
 /// this is the case that sees the fair-share recompute's allocations; the
-/// budget is the ~197 allocs/run measured once the recompute stopped
-/// allocating, with ~2x headroom (the allocating recompute measured
-/// ~1,487 and fails it).
+/// budget is about twice the ~197 allocs/run measured when it was set
+/// (~179 now); the allocating recompute measured ~1,487 and fails it.
 const MAX_ALLOCS_PER_RUN_STUDY_WAN: f64 = 420.0;
-/// The sweep-driver study benches: per-worker pools mean each worker pays
+/// The sweep-driver studies: per-worker pools mean each worker pays
 /// one cold warmup, so the budget is the sequential per-run budget plus
 /// amortized headroom for `threads` warmups (at quick scale the t4
 /// variant spreads only 8 configurations over 4 cold arenas, ~151
@@ -94,7 +86,7 @@ const MAX_ALLOCS_PER_RUN_STUDY_WAN: f64 = 420.0;
 /// configurations to workers.
 const MAX_ALLOCS_PER_RUN_STUDY_FULL: f64 = 300.0;
 
-/// Peak-resident-byte budgets for the study benches, also checked by
+/// Peak-resident-byte budgets for the gated studies, also checked by
 /// `--alloc-gate`. Peak footprint is what the arena refactor must *not*
 /// regress while chasing allocation counts: reset-don't-free recycling
 /// keeps capacity parked between runs, and these ceilings bound how much
@@ -309,54 +301,8 @@ fn trace_transfers(queries: usize, segments: usize, seed: u64) -> u64 {
     queries as u64
 }
 
-/// A paper-main-scale single-configuration world, shared by the
-/// `world_setup` and `single_run` microbenches: the same trace pool,
-/// link assignment, and workload as configuration 0 of the full study.
-fn paper_world(seed: u64) -> Experiment {
-    let study = wadc_trace::study::BandwidthStudy::default_study(seed);
-    let pool = study.noon_trace_pool(SimDuration::from_hours(24));
-    Experiment::from_study_pool(8, &pool, 0, seed)
-}
-
-/// Pure world-construction cost on a warm arena: build the engine for a
-/// paper-main configuration (tree, roster, initial placement search,
-/// per-host monitors, network model) and tear it straight back down into
-/// the scratch, never dispatching an event. This is the fixed per-run
-/// overhead the [`RunScratch`] arena exists to amortize.
-fn world_setup(builds: usize, seed: u64) -> u64 {
-    let exp = paper_world(seed);
-    let mut scratch = RunScratch::new();
-    for _ in 0..builds {
-        let engine = exp.engine_scratch(Algorithm::OneShot, scratch);
-        scratch = engine.into_scratch();
-    }
-    std::hint::black_box(scratch.is_warm());
-    builds as u64
-}
-
-/// One full engine run, end to end, on a warm arena: the per-run unit of
-/// the study benches with the study driver and aggregation stripped away.
-/// Alternates the one-shot and download-all algorithms so the arena is
-/// exercised the way a study configuration exercises it.
-fn single_run(runs: usize, seed: u64) -> u64 {
-    let exp = paper_world(seed);
-    let mut scratch = RunScratch::new();
-    let mut delivered = 0usize;
-    for i in 0..runs {
-        let alg = if i % 2 == 0 {
-            Algorithm::OneShot
-        } else {
-            Algorithm::DownloadAll
-        };
-        delivered += exp.run_scratch(alg, &mut scratch).images_delivered;
-    }
-    std::hint::black_box(delivered);
-    runs as u64
-}
-
-/// A reduced paper-main study: the end-to-end number every other bench
-/// feeds into. Uses the sequential driver so the measurement is not
-/// scheduler-dependent.
+/// A reduced paper-main study on the sequential driver, so its counts are
+/// not scheduler-dependent.
 fn study_reduced(configs: usize, seed: u64) -> u64 {
     let mut p = StudyParams::paper_main(seed);
     p.n_configs = configs;
@@ -409,9 +355,8 @@ fn study_wan(seed: u64) -> u64 {
     p.n_configs as u64 * runs_per_config
 }
 
-/// The quick study through the sweep driver at `threads` workers — the
-/// configuration CI gates on (`--alloc-gate` at threads=2): per-worker
-/// pools must hold the same steady-state budget as the sequential run.
+/// The quick study through the sweep driver at `threads` workers:
+/// per-worker pools must hold the same budget as the sequential run.
 fn study_quick_threaded(seed: u64, threads: usize) -> u64 {
     let p = StudyParams::quick(seed);
     let runs_per_config = 1 + p.algorithms.len() as u64; // + download-all
@@ -421,12 +366,9 @@ fn study_quick_threaded(seed: u64, threads: usize) -> u64 {
 }
 
 /// The paper's *full* study — every configuration at the full workload
-/// (180 images/server, 24 h trace window) — on the sweep driver. Reported
-/// at threads=1 and threads=4 so `BENCH_perf.json` carries the sweep
-/// fabric's scaling headline (runs/sec); the digest is consumed so the
-/// whole merge is forced. On a multi-core machine the t4/t1 ratio is the
-/// fabric's speedup; on a single-core CI box both variants cost the same
-/// wall-clock and the numbers record that honestly.
+/// (180 images/server, 24 h trace window) — on the sweep driver at
+/// `threads` workers; the digest is consumed so the whole merge is
+/// forced.
 fn study_full(configs: usize, seed: u64, threads: usize) -> u64 {
     let mut p = StudyParams::paper_main(seed);
     p.n_configs = configs;
@@ -436,24 +378,68 @@ fn study_full(configs: usize, seed: u64, threads: usize) -> u64 {
     configs as u64 * runs_per_config
 }
 
+/// Runs each gated study once inside an [`AllocScope`] and checks its
+/// allocations per engine run and its peak live bytes against the
+/// budgets. Returns `false` if any study exceeds one.
+fn alloc_gate(quick: bool, seed: u64) -> bool {
+    let (reduced_cfgs, full_cfgs) = if quick { (1, 8) } else { (4, 300) };
+    let studies: [(&str, &dyn Fn() -> u64); 7] = [
+        ("study_reduced", &|| study_reduced(reduced_cfgs, seed)),
+        ("study_quick", &|| study_quick(seed)),
+        ("study_quick_t2", &|| study_quick_threaded(seed, 2)),
+        ("study_topo", &|| study_topo(seed)),
+        ("study_wan", &|| study_wan(seed)),
+        ("study_full_t1", &|| study_full(full_cfgs, seed, 1)),
+        ("study_full_t4", &|| study_full(full_cfgs, seed, 4)),
+    ];
+    let mut ok = true;
+    for (name, study) in studies {
+        let (limit, peak_limit) = match name {
+            "study_reduced" => (MAX_ALLOCS_PER_RUN_STUDY_REDUCED, MAX_PEAK_BYTES_STUDY),
+            "study_quick" | "study_quick_t2" => {
+                (MAX_ALLOCS_PER_RUN_STUDY_QUICK, MAX_PEAK_BYTES_STUDY)
+            }
+            "study_topo" => (MAX_ALLOCS_PER_RUN_STUDY_TOPO, MAX_PEAK_BYTES_STUDY),
+            "study_wan" => (MAX_ALLOCS_PER_RUN_STUDY_WAN, MAX_PEAK_BYTES_STUDY_FULL),
+            _ => (MAX_ALLOCS_PER_RUN_STUDY_FULL, MAX_PEAK_BYTES_STUDY_FULL),
+        };
+        let scope = AllocScope::begin();
+        let runs = study();
+        let alloc = scope.finish();
+        let got = alloc.allocs as f64 / runs.max(1) as f64;
+        if got > limit {
+            eprintln!("alloc gate FAIL: {name} at {got:.1} allocs/run exceeds budget {limit:.1}");
+            ok = false;
+        } else {
+            println!("alloc gate ok:   {name} at {got:.1} allocs/run (budget {limit:.1})");
+        }
+        let peak = alloc.peak_bytes;
+        if peak > peak_limit {
+            eprintln!("alloc gate FAIL: {name} peaked at {peak} bytes, budget {peak_limit}");
+            ok = false;
+        } else {
+            println!(
+                "alloc gate ok:   {name} peak {peak} bytes, {:.1} MiB (budget {:.0} MiB)",
+                peak as f64 / (1 << 20) as f64,
+                peak_limit as f64 / (1 << 20) as f64
+            );
+        }
+    }
+    ok
+}
+
 fn main() {
     let args = parse_args();
     let scale = if args.quick { "quick" } else { "full" };
     println!("perf harness ({scale} scale, seed {})", args.seed);
 
-    // Sizes chosen so the full run finishes in well under a minute per rep
-    // even on the pre-optimization code paths.
-    let (ev_n, mix_n, ps_cfgs, tq_n, study_cfgs, full_cfgs, ws_n, sr_n) = if args.quick {
-        (20_000, 2_000, 2, 20_000, 1, 8, 50, 20)
+    let (ev_n, mix_n, ps_cfgs, tq_n) = if args.quick {
+        (20_000, 2_000, 2, 20_000)
     } else {
-        (200_000, 20_000, 8, 200_000, 4, 300, 500, 100)
+        (200_000, 20_000, 8, 200_000)
     };
     let seed = args.seed;
     let reps = args.reps;
-    let study_reps = reps.min(2);
-    // The full study costs ~45 ms per configuration: one rep of the
-    // paper's 300 configurations is the headline, not a median of many.
-    let full_reps = if args.quick { study_reps } else { 1 };
 
     let benches = [
         run_bench("event_queue_schedule_pop", reps, || {
@@ -468,23 +454,6 @@ fn main() {
         }),
         run_bench("trace_transfers", reps, || {
             trace_transfers(tq_n, 2_000, seed)
-        }),
-        run_bench("world_setup", study_reps, || world_setup(ws_n, seed)),
-        run_bench("single_run", study_reps, || single_run(sr_n, seed)),
-        run_bench("study_reduced", study_reps, || {
-            study_reduced(study_cfgs, seed)
-        }),
-        run_bench("study_quick", study_reps, || study_quick(seed)),
-        run_bench("study_quick_t2", study_reps, || {
-            study_quick_threaded(seed, 2)
-        }),
-        run_bench("study_topo", study_reps, || study_topo(seed)),
-        run_bench("study_wan", study_reps, || study_wan(seed)),
-        run_bench("study_full_t1", full_reps, || {
-            study_full(full_cfgs, seed, 1)
-        }),
-        run_bench("study_full_t4", full_reps, || {
-            study_full(full_cfgs, seed, 4)
         }),
     ];
 
@@ -514,53 +483,8 @@ fn main() {
         .unwrap_or_else(|e| panic!("writing {}: {e}", args.json.display()));
     println!("results archived to {}", args.json.display());
 
-    if args.alloc_gate {
-        let mut failed = false;
-        for b in &benches {
-            let (limit, peak_limit) = match b.name {
-                "study_quick" | "study_quick_t2" => {
-                    (MAX_ALLOCS_PER_RUN_STUDY_QUICK, MAX_PEAK_BYTES_STUDY)
-                }
-                "study_topo" => (MAX_ALLOCS_PER_RUN_STUDY_TOPO, MAX_PEAK_BYTES_STUDY),
-                "study_wan" => (MAX_ALLOCS_PER_RUN_STUDY_WAN, MAX_PEAK_BYTES_STUDY_FULL),
-                "study_reduced" => (MAX_ALLOCS_PER_RUN_STUDY_REDUCED, MAX_PEAK_BYTES_STUDY),
-                "study_full_t1" | "study_full_t4" => {
-                    (MAX_ALLOCS_PER_RUN_STUDY_FULL, MAX_PEAK_BYTES_STUDY_FULL)
-                }
-                _ => continue,
-            };
-            let got = b.allocs_per_unit();
-            if got > limit {
-                eprintln!(
-                    "alloc gate FAIL: {} at {:.1} allocs/run exceeds budget {:.1}",
-                    b.name, got, limit
-                );
-                failed = true;
-            } else {
-                println!(
-                    "alloc gate ok:   {} at {:.1} allocs/run (budget {:.1})",
-                    b.name, got, limit
-                );
-            }
-            let peak = b.alloc.peak_bytes;
-            if peak > peak_limit {
-                eprintln!(
-                    "alloc gate FAIL: {} peaked at {} bytes, budget {}",
-                    b.name, peak, peak_limit
-                );
-                failed = true;
-            } else {
-                println!(
-                    "alloc gate ok:   {} peak {:.1} MiB (budget {:.0} MiB)",
-                    b.name,
-                    peak as f64 / (1 << 20) as f64,
-                    peak_limit as f64 / (1 << 20) as f64
-                );
-            }
-        }
-        if failed {
-            eprintln!("steady-state allocation regression — see DESIGN.md §6b");
-            std::process::exit(1);
-        }
+    if args.alloc_gate && !alloc_gate(args.quick, seed) {
+        eprintln!("allocation regression — see DESIGN.md §6b");
+        std::process::exit(1);
     }
 }

@@ -16,9 +16,9 @@
 //! `--threads T` and `--json PATH` (machine-readable series archive).
 //!
 //! The `perf` binary is the perf-regression harness: it times the event
-//! queue, the placement search, trace lookups and whole runs and studies,
-//! and counts their allocations (`cargo run --release -p wadc-bench --bin
-//! perf`).
+//! queue, the placement search and trace lookups, and its `--alloc-gate`
+//! counts the allocations of seven studies against committed budgets
+//! (`cargo run --release -p wadc-bench --bin perf`).
 
 // `deny` rather than `forbid`: the counting allocator in `alloc` must
 // implement `GlobalAlloc`, which is an `unsafe` trait; that module
@@ -47,7 +47,8 @@ pub struct FigArgs {
 impl FigArgs {
     /// Parses `std::env::args`, with the paper's 300 configurations as the
     /// default. `--threads` is clamped to the machine's available
-    /// parallelism (with a warning) — `0` means "all cores".
+    /// parallelism (with a warning) — `0` means "all cores". Exits with
+    /// status 2 on `--configs 0` (see [`require_configs`]).
     ///
     /// # Panics
     ///
@@ -73,6 +74,7 @@ impl FigArgs {
                 other => panic!("unknown flag {other}; known: --configs --threads --seed --json"),
             }
         }
+        require_configs(args.configs);
         let plan = wadc_core::sweep::clamp_threads(args.threads);
         if let Some(warning) = &plan.warning {
             eprintln!("warning: {warning}");
@@ -88,6 +90,18 @@ impl FigArgs {
                 .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
             eprintln!("series archived to {}", path.display());
         }
+    }
+}
+
+/// Exits with status 2 and the reason on standard error when `configs` is
+/// zero, before any work: a study of no configurations has no speedup to
+/// report, and its means would print as NaN.
+pub fn require_configs(configs: usize) {
+    if configs == 0 {
+        eprintln!(
+            "error: --configs must be at least 1: a study of no configurations compares nothing"
+        );
+        std::process::exit(2);
     }
 }
 

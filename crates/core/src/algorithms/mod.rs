@@ -13,7 +13,4 @@ pub mod local_step;
 pub mod one_shot;
 
 pub use local_step::{best_local_site, local_path_cost, LocalContext, LocalDecision};
-pub use one_shot::{
-    improve_placement, improve_placement_by, improve_placement_scratch, one_shot_placement,
-    Objective, SearchResult, SearchScratch,
-};
+pub use one_shot::{improve_placement, one_shot_placement, Objective, SearchResult, SearchScratch};

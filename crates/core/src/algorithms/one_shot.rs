@@ -11,9 +11,7 @@
 
 use wadc_plan::bandwidth::{BandwidthView, DenseView};
 use wadc_plan::cost::CostModel;
-use wadc_plan::critical_path::{
-    contended_placement_cost, nic_occupancy, placement_cost, IncrementalCriticalPath,
-};
+use wadc_plan::critical_path::{nic_occupancy, IncrementalCriticalPath};
 use wadc_plan::ids::{HostId, OperatorId};
 use wadc_plan::placement::{HostRoster, Placement};
 use wadc_plan::tree::CombinationTree;
@@ -30,23 +28,6 @@ pub enum Objective {
     Contended,
 }
 
-impl Objective {
-    /// Evaluates a placement under this objective (seconds per partition).
-    pub fn evaluate(
-        self,
-        tree: &CombinationTree,
-        roster: &HostRoster,
-        placement: &Placement,
-        view: impl BandwidthView + Copy,
-        model: &CostModel,
-    ) -> f64 {
-        match self {
-            Objective::CriticalPath => placement_cost(tree, roster, placement, view, model),
-            Objective::Contended => contended_placement_cost(tree, roster, placement, view, model),
-        }
-    }
-}
-
 /// Minimum relative improvement for a move to be adopted; guards against
 /// floating-point churn producing endless equal-cost oscillation.
 const MIN_IMPROVEMENT: f64 = 1e-9;
@@ -56,18 +37,22 @@ const MIN_IMPROVEMENT: f64 = 1e-9;
 pub struct SearchResult {
     /// The placement found.
     pub placement: Placement,
-    /// Its estimated critical-path cost, seconds per partition.
+    /// Its estimated cost under the search's objective, seconds per
+    /// partition.
     pub cost: f64,
+    /// The cost of the initial placement under the same objective and
+    /// view, priced before the first move.
+    pub start_cost: f64,
     /// Number of improvement iterations performed.
     pub iterations: usize,
 }
 
-/// Reusable buffers for [`improve_placement_scratch`]: the dense
-/// bandwidth snapshot, the incremental evaluator's two per-node caches,
-/// and the critical-operator list. A run that re-plans repeatedly (the
-/// global algorithm) or an arena that recycles run state across a study
-/// threads one of these through every search; contents are rebuilt from
-/// the inputs each time, so a warmed scratch changes no decision.
+/// Reusable buffers for [`improve_placement`]: the dense bandwidth
+/// snapshot, the incremental evaluator's two per-node caches, and the
+/// critical-operator list. A run that re-plans repeatedly (the global
+/// algorithm) or an arena that recycles run state across a study threads
+/// one of these through every search; contents are rebuilt from the
+/// inputs each time, so a warmed scratch changes no decision.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     dense: DenseView,
@@ -88,67 +73,24 @@ impl SearchScratch {
 /// `initial = Placement::download_all(..)` it is the one-shot algorithm,
 /// with the running placement it is the global algorithm's re-planning
 /// procedure.
-pub fn improve_placement(
-    tree: &CombinationTree,
-    roster: &HostRoster,
-    initial: Placement,
-    view: impl BandwidthView + Copy,
-    model: &CostModel,
-) -> SearchResult {
-    improve_placement_by(tree, roster, initial, view, model, Objective::CriticalPath)
-}
-
-/// [`improve_placement`] with an explicit [`Objective`]. The search still
-/// scans the operators on the critical path (that is where the candidate
-/// moves come from in the paper's algorithm) but scores candidates by the
-/// chosen objective.
-pub fn improve_placement_by(
-    tree: &CombinationTree,
-    roster: &HostRoster,
-    initial: Placement,
-    view: impl BandwidthView + Copy,
-    model: &CostModel,
-    objective: Objective,
-) -> SearchResult {
-    improve_placement_masked(tree, roster, initial, view, model, objective, &[])
-}
-
-/// [`improve_placement_by`] over the **surviving-host subgraph**: hosts
-/// in `dead` are never considered as candidate sites. With an empty
-/// `dead` list this is bit-identical to the unmasked search — the clean
-/// path stays golden-digest stable. Masking must happen here, at
-/// candidate enumeration, because the cost model treats unknown
-/// bandwidth as "pessimistic but reachable": a dead host hidden only
-/// from the bandwidth view would still be selectable.
 ///
-/// The caller is responsible for handing in an `initial` placement that
-/// no longer resides operators on dead hosts (the engine re-homes
-/// orphans before re-planning).
-pub fn improve_placement_masked(
-    tree: &CombinationTree,
-    roster: &HostRoster,
-    initial: Placement,
-    view: impl BandwidthView + Copy,
-    model: &CostModel,
-    objective: Objective,
-    dead: &[HostId],
-) -> SearchResult {
-    improve_placement_scratch(
-        tree,
-        roster,
-        initial,
-        view,
-        model,
-        objective,
-        dead,
-        &mut SearchScratch::new(),
-    )
-}
-
-/// [`improve_placement_masked`] drawing its working buffers from a
-/// recycled [`SearchScratch`]. Bit-identical to a cold search.
+/// The search scans the operators on the critical path (that is where the
+/// candidate moves come from in the paper's algorithm) but scores
+/// candidates by `objective`.
+///
+/// Hosts in `dead` are never considered as candidate sites: after a host
+/// death the search runs over the surviving-host subgraph. Masking must
+/// happen here, at candidate enumeration, because the cost model treats
+/// unknown bandwidth as "pessimistic but reachable": a dead host hidden
+/// only from the bandwidth view would still be selectable. The caller is
+/// responsible for handing in an `initial` placement that no longer
+/// resides operators on dead hosts (the engine re-homes orphans before
+/// re-planning).
+///
+/// Working buffers come from `scratch`; a warmed scratch gives the same
+/// result as a cold one.
 #[allow(clippy::too_many_arguments)]
-pub fn improve_placement_scratch(
+pub fn improve_placement(
     tree: &CombinationTree,
     roster: &HostRoster,
     initial: Placement,
@@ -179,10 +121,11 @@ pub fn improve_placement_scratch(
             .into_iter()
             .fold(0.0f64, f64::max)
     };
-    let mut cost = match objective {
+    let start_cost = match objective {
         Objective::CriticalPath => eval.root_cost(),
         Objective::Contended => eval.root_cost().max(nic_max(&current, &dense)),
     };
+    let mut cost = start_cost;
     let mut iterations = 0;
     let mut cp_ops = std::mem::take(&mut scratch.cp_ops);
     loop {
@@ -232,6 +175,7 @@ pub fn improve_placement_scratch(
     SearchResult {
         placement: current,
         cost,
+        start_cost,
         iterations,
     }
 }
@@ -267,15 +211,19 @@ pub fn one_shot_placement(
         Placement::download_all(tree, roster),
         view,
         model,
+        Objective::CriticalPath,
+        &[],
+        &mut SearchScratch::new(),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wadc_plan::bandwidth::BwMatrix;
-    use wadc_plan::critical_path::critical_path;
+    use wadc_plan::bandwidth::{BwMatrix, MaskedView};
+    use wadc_plan::critical_path::{contended_placement_cost, critical_path, placement_cost};
     use wadc_plan::ids::HostId;
+    use wadc_sim::rng::Rng64;
 
     fn h(i: usize) -> HostId {
         HostId::new(i)
@@ -383,7 +331,16 @@ mod tests {
             );
         }
         let before = placement_cost(&tree, &roster, &start, &bw, &model);
-        let r = improve_placement(&tree, &roster, start, &bw, &model);
+        let r = improve_placement(
+            &tree,
+            &roster,
+            start,
+            &bw,
+            &model,
+            Objective::CriticalPath,
+            &[],
+            &mut SearchScratch::new(),
+        );
         assert!(r.cost <= before + 1e-9);
     }
 
@@ -398,30 +355,25 @@ mod tests {
                 2_000.0 + ((a.index() * 31 + b.index() * 17) % 97) as f64 * 1_500.0
             }
         });
-        let free = improve_placement_masked(
-            &tree,
-            &roster,
-            Placement::download_all(&tree, &roster),
-            &bw,
-            &model,
-            Objective::CriticalPath,
-            &[],
-        );
+        let search = |dead: &[HostId]| {
+            improve_placement(
+                &tree,
+                &roster,
+                Placement::download_all(&tree, &roster),
+                &bw,
+                &model,
+                Objective::CriticalPath,
+                dead,
+                &mut SearchScratch::new(),
+            )
+        };
+        let free = search(&[]);
         assert!(
             (0..tree.operator_count())
                 .any(|i| free.placement.site(wadc_plan::ids::OperatorId::new(i)) == h(0)),
             "unmasked search should exploit the fast host"
         );
-        let dead = [h(0)];
-        let masked = improve_placement_masked(
-            &tree,
-            &roster,
-            Placement::download_all(&tree, &roster),
-            &bw,
-            &model,
-            Objective::CriticalPath,
-            &dead,
-        );
+        let masked = search(&[h(0)]);
         for i in 0..tree.operator_count() {
             assert_ne!(
                 masked.placement.site(wadc_plan::ids::OperatorId::new(i)),
@@ -429,17 +381,85 @@ mod tests {
                 "operator {i} placed on a dead host"
             );
         }
-        // An empty mask is bit-identical to the unmasked search.
-        let unmasked = improve_placement_by(
-            &tree,
-            &roster,
-            Placement::download_all(&tree, &roster),
-            &bw,
-            &model,
-            Objective::CriticalPath,
-        );
-        assert_eq!(free.placement, unmasked.placement);
-        assert_eq!(free.cost.to_bits(), unmasked.cost.to_bits());
+    }
+
+    /// Prices `placement` with the full evaluator of `objective`.
+    fn full_price(
+        objective: Objective,
+        tree: &CombinationTree,
+        roster: &HostRoster,
+        placement: &Placement,
+        view: impl BandwidthView + Copy,
+        model: &CostModel,
+    ) -> f64 {
+        match objective {
+            Objective::CriticalPath => placement_cost(tree, roster, placement, view, model),
+            Objective::Contended => contended_placement_cost(tree, roster, placement, view, model),
+        }
+    }
+
+    /// `start_cost` is bit-identical to pricing the start placement with
+    /// the full evaluator under the same view: the engine records it as
+    /// the audit log's `cost_before`.
+    #[test]
+    fn start_cost_is_the_full_price_of_the_start() {
+        let (tree, roster, model) = setup(8);
+        let mut rng = Rng64::seed_from_u64(18);
+        let mut scratch = SearchScratch::new();
+        for case in 0..40 {
+            let bw = BwMatrix::from_fn(roster.host_count(), |_, _| {
+                rng.range_f64(1_000.0, 900_000.0)
+            });
+            let mut start = Placement::download_all(&tree, &roster);
+            for i in 0..tree.operator_count() {
+                let host = HostId::new(rng.range_usize(roster.host_count()));
+                start.set_site(OperatorId::new(i), host);
+            }
+            // A dead server, with the start re-homed off it as the engine
+            // re-homes orphans before re-planning.
+            let dead = HostId::new(rng.range_usize(roster.host_count() - 1));
+            let mut rehomed = start.clone();
+            for i in 0..tree.operator_count() {
+                if rehomed.site(OperatorId::new(i)) == dead {
+                    rehomed.set_site(OperatorId::new(i), roster.client());
+                }
+            }
+            let masked = MaskedView::new(&bw, roster.host_count(), [dead]);
+            for objective in [Objective::CriticalPath, Objective::Contended] {
+                let clean = improve_placement(
+                    &tree,
+                    &roster,
+                    start.clone(),
+                    &bw,
+                    &model,
+                    objective,
+                    &[],
+                    &mut scratch,
+                );
+                let expected = full_price(objective, &tree, &roster, &start, &bw, &model);
+                assert_eq!(
+                    clean.start_cost.to_bits(),
+                    expected.to_bits(),
+                    "case {case}, {objective:?}, no dead host"
+                );
+                let survivors = improve_placement(
+                    &tree,
+                    &roster,
+                    rehomed.clone(),
+                    &masked,
+                    &model,
+                    objective,
+                    &[dead],
+                    &mut scratch,
+                );
+                let expected = full_price(objective, &tree, &roster, &rehomed, &masked, &model);
+                assert_eq!(
+                    survivors.start_cost.to_bits(),
+                    expected.to_bits(),
+                    "case {case}, {objective:?}, {dead} dead"
+                );
+            }
+        }
     }
 
     #[test]

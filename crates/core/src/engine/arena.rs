@@ -116,9 +116,10 @@ pub(super) struct HostRt {
     /// The disk and the CPU, indexed by [`Unit`](super::protocol::Unit).
     pub(super) stations: [Station; 2],
     /// The failure detector's verdict: set once the host has exhausted
-    /// the retry budget on `detection_k` distinct messages. Declaration —
-    /// not the physical crash — triggers failover and the traffic ban;
-    /// `false` in clean runs.
+    /// the retry budget on
+    /// [`DETECTION_K`](super::config::retry::DETECTION_K) distinct
+    /// messages. Declaration — not the physical crash — triggers failover
+    /// and the traffic ban; `false` in clean runs.
     pub(super) declared_dead: bool,
     /// Detector evidence: retry-exhausted (abandoned) messages to this
     /// host, counted only while the sender itself is alive.

@@ -10,6 +10,7 @@ use wadc_plan::placement::Placement;
 use wadc_plan::tree::NodeKind;
 use wadc_sim::resource::Priority;
 
+use super::config::retry;
 use super::message::Payload;
 use super::{Algorithm, AuditEvent, Engine, Ev};
 
@@ -101,10 +102,8 @@ impl Engine {
         // budget; the timeout guarantees the barrier cannot wedge the
         // run. Clean runs arm no timer (zero perturbation).
         if self.faults.is_some() {
-            self.queue.schedule_in(
-                self.cfg.retry.barrier_timeout,
-                Ev::BarrierTimeout { version },
-            );
+            self.queue
+                .schedule_in(retry::BARRIER_TIMEOUT, Ev::BarrierTimeout { version });
         }
     }
 

@@ -72,93 +72,44 @@ impl Algorithm {
     }
 }
 
-/// Per-message timeout, backoff and retransmission parameters, plus the
-/// barrier change-over timeout — the engine's recovery knobs for lossy
-/// runs.
+/// The engine's recovery constants for lossy runs: per-message backoff
+/// and retransmission, the barrier change-over timeout and the failure
+/// detector's threshold.
 ///
 /// Only consulted when the run's [`FaultPlan`] is non-empty; clean runs
-/// never arm a timer, so the policy is zero-perturbation by default.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
+/// never arm a timer, so recovery is zero-perturbation by default.
+pub(crate) mod retry {
+    use wadc_sim::time::SimDuration;
+
     /// Backoff before the first retransmission (and the detection delay
     /// for a failed operator-state transfer).
-    pub base: SimDuration,
-    /// Geometric backoff multiplier per attempt.
-    pub multiplier: u32,
+    pub const BASE_BACKOFF: SimDuration = SimDuration::from_secs(2);
     /// Upper bound on any single backoff interval.
-    pub max_backoff: SimDuration,
+    pub const MAX_BACKOFF: SimDuration = SimDuration::from_secs(60);
     /// Retransmissions after the original send before a message is
     /// abandoned.
-    pub max_retries: u32,
+    pub const MAX_RETRIES: u32 = 12;
     /// How long the client waits for all servers to report before
     /// aborting a barrier change-over and keeping the old placement.
-    pub barrier_timeout: SimDuration,
-    /// Failure-detector threshold: a peer host is declared dead once
-    /// this many *distinct* messages to it have each exhausted
-    /// `max_retries`. With the paper-default 12 retries a single
-    /// exhausted message already implies ~12 consecutive losses, so 1 is
-    /// a sound default; raise it to demand independent corroboration.
-    pub detection_k: u32,
-}
-
-impl RetryPolicy {
-    /// Defaults sized for wide-area latencies: 2 s base doubling to a
-    /// 60 s ceiling, 12 retries, 3 min barrier patience.
-    pub fn paper_defaults() -> Self {
-        RetryPolicy {
-            base: SimDuration::from_secs(2),
-            multiplier: 2,
-            max_backoff: SimDuration::from_secs(60),
-            max_retries: 12,
-            barrier_timeout: SimDuration::from_mins(3),
-            detection_k: 1,
-        }
-    }
+    pub const BARRIER_TIMEOUT: SimDuration = SimDuration::from_mins(3);
+    /// Failure-detector threshold: a peer host is declared dead once this
+    /// many *distinct* messages to it have each exhausted
+    /// [`MAX_RETRIES`]. A single exhausted message already implies ~12
+    /// consecutive losses.
+    pub const DETECTION_K: u32 = 1;
 
     /// The backoff before retransmission number `attempt + 1`:
-    /// `min(base * multiplier^attempt, max_backoff)`, computed without
+    /// `min(BASE_BACKOFF * 2^attempt, MAX_BACKOFF)`, computed without
     /// overflow.
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
-        let mut b = self.base;
+    pub fn backoff(attempt: u32) -> SimDuration {
+        let mut b = BASE_BACKOFF;
         for _ in 0..attempt {
-            b = (b * self.multiplier as u64).min(self.max_backoff);
-            if b == self.max_backoff {
+            b = (b * 2).min(MAX_BACKOFF);
+            if b == MAX_BACKOFF {
                 break;
             }
         }
-        b.min(self.max_backoff)
-    }
-
-    /// Checks the policy for degenerate values.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.base.is_zero() {
-            return Err("retry policy: zero base backoff would retransmit instantly".into());
-        }
-        if self.multiplier == 0 {
-            return Err("retry policy: zero backoff multiplier".into());
-        }
-        if self.max_backoff < self.base {
-            return Err("retry policy: max_backoff below base".into());
-        }
-        if self.barrier_timeout.is_zero() {
-            return Err("retry policy: zero barrier timeout would abort every change-over".into());
-        }
-        if self.detection_k == 0 {
-            return Err(
-                "retry policy: detection_k of zero would declare every host dead on sight".into(),
-            );
-        }
-        Ok(())
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::paper_defaults()
+        b
     }
 }
 
@@ -220,9 +171,6 @@ pub struct EngineConfig {
     /// machinery entirely, keeping clean runs digest-identical to the
     /// pre-fault golden fixtures.
     pub faults: FaultPlan,
-    /// Timeout/backoff/retransmission policy, consulted only when
-    /// `faults` is non-empty.
-    pub retry: RetryPolicy,
 }
 
 impl EngineConfig {
@@ -259,7 +207,6 @@ impl EngineConfig {
             seed: 0,
             max_sim_time: SimDuration::from_hours(24 * 7),
             faults: FaultPlan::none(),
-            retry: RetryPolicy::paper_defaults(),
         }
     }
 
@@ -322,20 +269,7 @@ impl EngineConfig {
             return Err("engine config: zero max_sim_time — every run would abort at t=0".into());
         }
         self.faults.validate()?;
-        self.retry.validate()?;
         Ok(())
-    }
-
-    /// Sets the fault plan (builder-style).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the retry policy (builder-style).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Sets the master seed (builder-style).
@@ -555,32 +489,19 @@ mod tests {
 
     #[test]
     fn backoff_is_geometric_and_capped() {
-        let r = RetryPolicy::paper_defaults();
-        assert_eq!(r.backoff(0), SimDuration::from_secs(2));
-        assert_eq!(r.backoff(1), SimDuration::from_secs(4));
-        assert_eq!(r.backoff(3), SimDuration::from_secs(16));
-        assert_eq!(r.backoff(5), SimDuration::from_secs(60), "hits the cap");
-        assert_eq!(r.backoff(500), SimDuration::from_secs(60), "no overflow");
-    }
-
-    #[test]
-    fn retry_policy_validation() {
-        assert!(RetryPolicy::paper_defaults().validate().is_ok());
-        let mut r = RetryPolicy::paper_defaults();
-        r.base = SimDuration::ZERO;
-        assert!(r.validate().is_err());
-        let mut r = RetryPolicy::paper_defaults();
-        r.multiplier = 0;
-        assert!(r.validate().is_err());
-        let mut r = RetryPolicy::paper_defaults();
-        r.max_backoff = SimDuration::from_millis(1);
-        assert!(r.validate().is_err());
-        let mut r = RetryPolicy::paper_defaults();
-        r.barrier_timeout = SimDuration::ZERO;
-        assert!(r.validate().is_err());
-        let mut r = RetryPolicy::paper_defaults();
-        r.detection_k = 0;
-        assert!(r.validate().is_err());
+        assert_eq!(retry::backoff(0), SimDuration::from_secs(2));
+        assert_eq!(retry::backoff(1), SimDuration::from_secs(4));
+        assert_eq!(retry::backoff(3), SimDuration::from_secs(16));
+        assert_eq!(
+            retry::backoff(5),
+            SimDuration::from_secs(60),
+            "hits the cap"
+        );
+        assert_eq!(
+            retry::backoff(500),
+            SimDuration::from_secs(60),
+            "no overflow"
+        );
     }
 
     #[test]
@@ -630,8 +551,8 @@ mod tests {
         zero_cap.max_sim_time = SimDuration::ZERO;
         assert!(zero_cap.validate().is_err());
 
-        let bad_faults =
-            EngineConfig::new(4, Algorithm::OneShot).with_faults(FaultPlan::none().with_loss(2.0));
+        let mut bad_faults = EngineConfig::new(4, Algorithm::OneShot);
+        bad_faults.faults = FaultPlan::none().with_loss(2.0);
         assert!(bad_faults.validate().is_err());
     }
 

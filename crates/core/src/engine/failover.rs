@@ -7,6 +7,7 @@ use wadc_plan::ids::{HostId, NodeId, OperatorId};
 use wadc_plan::tree::NodeKind;
 use wadc_sim::resource::Priority;
 
+use super::config::retry;
 use super::message::Payload;
 use super::{AuditEvent, Engine};
 
@@ -32,15 +33,16 @@ impl Engine {
                 .is_some_and(|f| f.host_crashed(host, self.now()))
     }
 
-    /// One count of detector evidence against `dst`; at `detection_k`
-    /// distinct abandoned messages the host is declared dead.
+    /// One count of detector evidence against `dst`; at
+    /// [`retry::DETECTION_K`] distinct abandoned messages the host is
+    /// declared dead.
     pub(super) fn note_exhausted(&mut self, dst: HostId) {
         let h = &mut self.hosts[dst.index()];
         if h.declared_dead {
             return;
         }
         h.abandoned += 1;
-        if h.abandoned >= self.cfg.retry.detection_k {
+        if h.abandoned >= retry::DETECTION_K {
             self.declare_dead(dst);
         }
     }

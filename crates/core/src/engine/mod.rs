@@ -48,7 +48,7 @@ use wadc_mobile::protocol::MoveProtocol;
 use wadc_mobile::registry::CodeRegistry;
 use wadc_net::faults::FaultInjector;
 use wadc_net::network::{Network, TransferId};
-use wadc_plan::bandwidth::{BandwidthView, MaskedView};
+use wadc_plan::bandwidth::MaskedView;
 use wadc_plan::ids::{HostId, NodeId, OperatorId};
 use wadc_plan::placement::{HostRoster, Placement};
 use wadc_plan::tree::CombinationTree;
@@ -58,14 +58,14 @@ use wadc_sim::stats::Tally;
 use wadc_sim::time::{SimDuration, SimTime};
 use wadc_topo::graph::Topology;
 
-use crate::algorithms::one_shot::{improve_placement_scratch, SearchResult, SearchScratch};
+use crate::algorithms::one_shot::{improve_placement, SearchScratch};
 use crate::knowledge::{KnowledgeMode, PlannerView};
 
 pub use arena::RunScratch;
 use arena::{recycle, HostRt, NodeRt};
 pub use audit::{AuditEvent, AuditLog};
 use barrier::Barrier;
-pub use config::{Algorithm, EngineConfig, RetryPolicy, RunOutcome, RunResult};
+pub use config::{Algorithm, EngineConfig, RunOutcome, RunResult};
 use failover::Failover;
 use local::Local;
 pub use message::{DataMsg, Demand, Message, Payload, PlacementUpdate};
@@ -501,48 +501,24 @@ impl Engine {
             now,
         )
         .with_grace(grace);
-        let (cfg, start) = (&self.cfg, &self.barrier.committed);
+        let start = self.barrier.committed.clone();
+        let (model, objective) = (&self.cfg.cost_model, self.cfg.objective);
         let (tree, roster, scratch) = (&self.tree, &self.roster, &mut self.search);
-        let (cost_before, result) = if dead.is_empty() {
-            search(cfg, tree, roster, start, view, &dead, scratch)
+        let result = if dead.is_empty() {
+            improve_placement(tree, roster, start, view, model, objective, &dead, scratch)
         } else {
             let masked = MaskedView::new(view, roster.host_count(), dead.iter().copied());
-            search(cfg, tree, roster, start, &masked, &dead, scratch)
+            improve_placement(
+                tree, roster, start, &masked, model, objective, &dead, scratch,
+            )
         };
         let changed = result.placement != self.barrier.committed;
         self.record_audit(AuditEvent::PlannerRan {
             at: now,
-            cost_before,
+            cost_before: result.start_cost,
             cost_after: result.cost,
             changed,
         });
         changed.then_some(result.placement)
     }
-}
-
-/// Prices `start` under `view` and searches for a better placement from
-/// it, never choosing a host in `dead`.
-fn search(
-    cfg: &EngineConfig,
-    tree: &CombinationTree,
-    roster: &HostRoster,
-    start: &Placement,
-    view: impl BandwidthView + Copy,
-    dead: &[HostId],
-    scratch: &mut SearchScratch,
-) -> (f64, SearchResult) {
-    let cost_before = cfg
-        .objective
-        .evaluate(tree, roster, start, view, &cfg.cost_model);
-    let result = improve_placement_scratch(
-        tree,
-        roster,
-        start.clone(),
-        view,
-        &cfg.cost_model,
-        cfg.objective,
-        dead,
-        scratch,
-    );
-    (cost_before, result)
 }

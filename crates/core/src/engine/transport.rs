@@ -16,6 +16,7 @@ use wadc_sim::resource::Priority;
 use wadc_sim::rng::derive_seed;
 use wadc_sim::time::SimTime;
 
+use super::config::retry;
 use super::message::{Message, MsgPool, Payload};
 use super::{AuditEvent, Engine, EngineConfig, Ev};
 use crate::knowledge::KnowledgeMode;
@@ -179,14 +180,14 @@ impl Engine {
     /// transient loss — the accounting differs, the recovery does not).
     /// Accounts the loss and arms the sender-side recovery: data and
     /// control messages are retransmitted after a backoff (up to
-    /// `retry.max_retries` times), a lost operator-state transfer rolls
+    /// [`retry::MAX_RETRIES`] times), a lost operator-state transfer rolls
     /// the move back at the old host (or, for a respawn, retries and
     /// eventually prunes the subtree), and a lost probe simply never
     /// reports (the measurement channel is allowed to be lossy).
     ///
     /// Retry exhaustion doubles as the failure detector's sensor: a live
     /// sender abandoning a message is one count of evidence against the
-    /// destination host, and `detection_k` counts declare it dead. The
+    /// destination host, and [`retry::DETECTION_K`] counts declare it dead. The
     /// detector is honest — it cannot distinguish a crash from repeated
     /// transient loss, so a false declaration is possible; it is
     /// deterministic and merely degrades the run.
@@ -223,7 +224,7 @@ impl Engine {
                 // and resumes under the old placement.
                 let (op, after_iteration) = (*op, *after_iteration);
                 self.queue.schedule_in(
-                    self.cfg.retry.backoff(msg.attempt),
+                    retry::backoff(msg.attempt),
                     Ev::MoveRollback {
                         node: msg.dst_node,
                         op,
@@ -235,10 +236,10 @@ impl Engine {
             // Data, control and respawn packets are resent. A lost respawn
             // has no old host to roll back to; its retransmit re-targets
             // if the chosen site has died meanwhile.
-            _ if msg.attempt < self.cfg.retry.max_retries => {
+            _ if msg.attempt < retry::MAX_RETRIES => {
                 // The box rides into the retransmit event unchanged.
                 self.queue
-                    .schedule_in(self.cfg.retry.backoff(msg.attempt), Ev::Retransmit(msg));
+                    .schedule_in(retry::backoff(msg.attempt), Ev::Retransmit(msg));
             }
             Payload::OperatorState { .. } => {
                 // A respawn out of retries loses its subtree for good.

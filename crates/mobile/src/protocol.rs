@@ -107,11 +107,6 @@ impl MoveProtocol {
         &self.registry
     }
 
-    /// Mutable registry access.
-    pub fn registry_mut(&mut self) -> &mut CodeRegistry {
-        &mut self.registry
-    }
-
     /// Validates and prices a move of `state.op` from `from` to `to`.
     ///
     /// # Errors

@@ -6,7 +6,6 @@
 //! bandwidth measurement cache; entries are timed out after T_thres
 //! seconds". The experiments used `S_thres = 16 KB` and `T_thres = 40 s`.
 
-use wadc_plan::bandwidth::BandwidthView;
 use wadc_plan::ids::HostId;
 use wadc_sim::time::{SimDuration, SimTime};
 
@@ -207,18 +206,10 @@ impl BandwidthCache {
         self.slots[self.slot(a, b)?]
     }
 
-    /// All unexpired measurements at `now`, newest first.
-    pub fn fresh_entries(&self, now: SimTime) -> Vec<((HostId, HostId), Measurement)> {
-        let mut v: Vec<_> = self.iter_fresh(now).collect();
-        v.sort_by(|x, y| y.1.at.cmp(&x.1.at).then_with(|| x.0.cmp(&y.0)));
-        v
-    }
-
     /// Unexpired measurements at `now` in pair order (`(lo, hi)`
     /// ascending), without allocating. Callers that need the newest-first
     /// order must sort; `(at, pair)` keys are unique, so any comparison
-    /// sort yields the same sequence as
-    /// [`BandwidthCache::fresh_entries`].
+    /// sort yields one sequence.
     pub fn iter_fresh(
         &self,
         now: SimTime,
@@ -231,21 +222,7 @@ impl BandwidthCache {
             .filter(move |(_, m)| now.saturating_since(m.at) <= self.config.t_thres)
     }
 
-    /// Drops entries expired at `now`; returns how many were dropped.
-    pub fn purge_expired(&mut self, now: SimTime) -> usize {
-        let t = self.config.t_thres;
-        let mut dropped = 0;
-        for s in &mut self.slots {
-            if s.is_some_and(|m| now.saturating_since(m.at) > t) {
-                *s = None;
-                dropped += 1;
-            }
-        }
-        self.len -= dropped;
-        dropped
-    }
-
-    /// Number of entries, including expired ones not yet purged.
+    /// Number of entries, including expired ones.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -253,42 +230,6 @@ impl BandwidthCache {
     /// Returns `true` if the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// A [`BandwidthView`] of the cache frozen at `now`, for handing to the
-    /// placement algorithms.
-    pub fn view_at(&self, now: SimTime) -> CacheView<'_> {
-        CacheView {
-            cache: self,
-            now,
-            grace: SimDuration::ZERO,
-        }
-    }
-}
-
-/// A point-in-time [`BandwidthView`] over a [`BandwidthCache`].
-#[derive(Debug, Clone, Copy)]
-pub struct CacheView<'a> {
-    cache: &'a BandwidthCache,
-    now: SimTime,
-    grace: SimDuration,
-}
-
-impl CacheView<'_> {
-    /// Widens the expiry window by `grace` (see
-    /// [`BandwidthCache::lookup_within`]).
-    pub fn with_grace(mut self, grace: SimDuration) -> Self {
-        self.grace = grace;
-        self
-    }
-}
-
-impl BandwidthView for CacheView<'_> {
-    fn bandwidth(&self, a: HostId, b: HostId) -> Option<f64> {
-        if a == b {
-            return None;
-        }
-        self.cache.lookup_within(a, b, self.now, self.grace)
     }
 }
 
@@ -348,29 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_entries_sorted_newest_first() {
-        let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
-        c.observe(h(0), h(1), 1.0, SimTime::from_secs(10));
-        c.observe(h(0), h(2), 2.0, SimTime::from_secs(30));
-        c.observe(h(1), h(2), 3.0, SimTime::from_secs(20));
-        let fresh = c.fresh_entries(SimTime::from_secs(35));
-        let pairs: Vec<_> = fresh.iter().map(|(k, _)| *k).collect();
-        assert_eq!(pairs, vec![(h(0), h(2)), (h(1), h(2)), (h(0), h(1))]);
-        // At t=55 the t=10 entry has expired.
-        assert_eq!(c.fresh_entries(SimTime::from_secs(55)).len(), 2);
-    }
-
-    #[test]
-    fn purge_drops_expired() {
-        let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
-        c.observe(h(0), h(1), 1.0, SimTime::ZERO);
-        c.observe(h(0), h(2), 2.0, SimTime::from_secs(100));
-        assert_eq!(c.purge_expired(SimTime::from_secs(120)), 1);
-        assert_eq!(c.len(), 1);
-        assert!(!c.is_empty());
-    }
-
-    #[test]
     fn grace_window_extends_expiry() {
         let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
         c.observe(h(0), h(1), 5.0, SimTime::from_secs(100));
@@ -390,19 +308,5 @@ mod tests {
             c.lookup_within(h(0), h(1), t, SimDuration::ZERO),
             c.lookup(h(0), h(1), t)
         );
-        // The view variant matches.
-        let v = c.view_at(late).with_grace(SimDuration::from_secs(40));
-        assert_eq!(v.bandwidth(h(0), h(1)), Some(5.0));
-    }
-
-    #[test]
-    fn view_implements_bandwidth_view() {
-        let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
-        c.observe(h(0), h(1), 42.0, SimTime::from_secs(1));
-        let view = c.view_at(SimTime::from_secs(2));
-        assert_eq!(view.bandwidth(h(0), h(1)), Some(42.0));
-        assert_eq!(view.bandwidth(h(0), h(0)), None);
-        let stale_view = c.view_at(SimTime::from_secs(200));
-        assert_eq!(stale_view.bandwidth(h(0), h(1)), None);
     }
 }

@@ -11,7 +11,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use wadc_plan::bandwidth::BandwidthView;
 use wadc_plan::ids::HostId;
 use wadc_sim::time::SimTime;
 
@@ -210,26 +209,6 @@ impl Forecaster {
     pub fn pair_count(&self) -> usize {
         self.series.len()
     }
-
-    /// A [`BandwidthView`] serving forecasts.
-    pub fn view(&self) -> ForecastView<'_> {
-        ForecastView { forecaster: self }
-    }
-}
-
-/// [`BandwidthView`] adapter over a [`Forecaster`].
-#[derive(Debug, Clone, Copy)]
-pub struct ForecastView<'a> {
-    forecaster: &'a Forecaster,
-}
-
-impl BandwidthView for ForecastView<'_> {
-    fn bandwidth(&self, a: HostId, b: HostId) -> Option<f64> {
-        if a == b {
-            return None;
-        }
-        self.forecaster.forecast(a, b)
-    }
 }
 
 #[cfg(test)]
@@ -304,15 +283,6 @@ mod tests {
         f.observe(h(3), h(1), 42.0, SimTime::ZERO);
         assert_eq!(f.forecast(h(1), h(3)), Some(42.0));
         assert_eq!(f.pair_count(), 1);
-    }
-
-    #[test]
-    fn view_adapts_to_bandwidth_view() {
-        let mut f = Forecaster::new(4);
-        feed(&mut f, &[7.0; 5]);
-        let v = f.view();
-        assert_eq!(v.bandwidth(h(0), h(1)), Some(7.0));
-        assert_eq!(v.bandwidth(h(0), h(0)), None);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use std::collections::HashMap;
 
-use wadc_plan::bandwidth::BandwidthView;
 use wadc_plan::ids::HostId;
 use wadc_sim::time::SimTime;
 
@@ -100,24 +99,6 @@ impl Gauge {
     pub fn pair_count(&self) -> usize {
         self.pairs.len()
     }
-
-    /// A [`BandwidthView`] over the gauged estimates (pairs never
-    /// observed report `None`).
-    pub fn view(&self) -> GaugeView<'_> {
-        GaugeView { gauge: self }
-    }
-}
-
-/// [`BandwidthView`] adapter over a [`Gauge`].
-#[derive(Debug, Clone, Copy)]
-pub struct GaugeView<'a> {
-    gauge: &'a Gauge,
-}
-
-impl BandwidthView for GaugeView<'_> {
-    fn bandwidth(&self, a: HostId, b: HostId) -> Option<f64> {
-        self.gauge.estimate(a, b)
-    }
 }
 
 #[cfg(test)]
@@ -158,14 +139,5 @@ mod tests {
         g.observe(h(0), h(1), 60.0, SimTime::from_secs(5));
         g.observe(h(0), h(1), 999.0, SimTime::from_secs(4)); // out of order
         assert_eq!(g.estimate(h(0), h(1)), Some(60.0));
-    }
-
-    #[test]
-    fn view_serves_estimates() {
-        let mut g = Gauge::new();
-        g.observe(h(0), h(1), 70.0, SimTime::from_secs(1));
-        let v = g.view();
-        assert_eq!(v.bandwidth(h(1), h(0)), Some(70.0));
-        assert_eq!(v.bandwidth(h(0), h(2)), None);
     }
 }

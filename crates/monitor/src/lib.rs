@@ -46,10 +46,10 @@ pub mod observe;
 pub mod piggyback;
 pub mod vector;
 
-pub use cache::{BandwidthCache, CacheView, Measurement, MonitorConfig};
+pub use cache::{BandwidthCache, Measurement, MonitorConfig};
 pub use daemon::ProbeScheduler;
 pub use forecast::{Forecaster, Predictor};
-pub use gauge::{Gauge, GaugeView};
+pub use gauge::Gauge;
 pub use observe::EstimateGauges;
 pub use piggyback::{Piggyback, PiggybackEntry};
 pub use vector::LocationVector;

@@ -23,7 +23,6 @@ use wadc_obs::recorder::{
 };
 use wadc_plan::ids::HostId;
 use wadc_sim::resource::Priority;
-use wadc_sim::stats::TimeWeighted;
 use wadc_sim::time::{SimDuration, SimTime};
 
 use wadc_trace::model::TraceCursor;
@@ -137,7 +136,6 @@ struct InFlight<P> {
 #[derive(Debug)]
 pub struct NetScratch<P> {
     nic_busy: Vec<usize>,
-    nic_usage: Vec<TimeWeighted>,
     pending_high: Vec<Pending<P>>,
     pending_norm: Vec<Pending<P>>,
     in_flight: Vec<Option<InFlight<P>>>,
@@ -156,7 +154,6 @@ impl<P> NetScratch<P> {
     pub fn new() -> Self {
         NetScratch {
             nic_busy: Vec::new(),
-            nic_usage: Vec::new(),
             pending_high: Vec::new(),
             pending_norm: Vec::new(),
             in_flight: Vec::new(),
@@ -364,7 +361,6 @@ pub struct Network<P> {
     params: NetworkParams,
     /// Number of transfers each host currently participates in.
     nic_busy: Vec<usize>,
-    nic_usage: Vec<TimeWeighted>,
     /// Waiting transfers, one FIFO per priority class. Ids are monotonic,
     /// so each queue is sorted by submission order by construction and
     /// scanning high before normal reproduces a full
@@ -416,7 +412,6 @@ impl<P> Network<P> {
         let n = topology.host_count();
         let NetScratch {
             mut nic_busy,
-            mut nic_usage,
             pending_high,
             pending_norm,
             in_flight,
@@ -427,14 +422,11 @@ impl<P> Network<P> {
         debug_assert!(in_flight.is_empty());
         nic_busy.clear();
         nic_busy.resize(n, 0);
-        nic_usage.clear();
-        nic_usage.resize_with(n, || TimeWeighted::new(SimTime::ZERO, 0.0));
         link_cursors.clear();
         link_cursors.resize_with(n * n, TraceCursor::new);
         Network {
             params,
             nic_busy,
-            nic_usage,
             pending_high,
             pending_norm,
             in_flight,
@@ -472,7 +464,6 @@ impl<P> Network<P> {
         self.in_flight.clear();
         NetScratch {
             nic_busy: self.nic_busy,
-            nic_usage: self.nic_usage,
             pending_high: self.pending_high,
             pending_norm: self.pending_norm,
             in_flight: self.in_flight,
@@ -665,7 +656,6 @@ impl<P> Network<P> {
                 let p = queue.remove(i);
                 self.nic_busy[spec.src.index()] += 1;
                 self.nic_busy[spec.dst.index()] += 1;
-                self.touch_usage(spec, now);
                 let data_start = now + self.params.startup;
                 let cursor_idx = self.cursor_index(spec.src, spec.dst);
                 let trace = self.topo.topology().nominal_trace(spec.src, spec.dst);
@@ -756,7 +746,6 @@ impl<P> Network<P> {
         self.topo.on_complete(id, &f.spec, now);
         self.nic_busy[f.spec.src.index()] -= 1;
         self.nic_busy[f.spec.dst.index()] -= 1;
-        self.touch_usage(f.spec, now);
         self.stats.completed += 1;
         self.stats.bytes_delivered += f.spec.bytes;
         let k = self.stats.kind_mut(f.spec.kind);
@@ -795,23 +784,9 @@ impl<P> Network<P> {
         self.nic_busy[host.index()] >= self.params.nic_capacity
     }
 
-    /// Records both endpoints' current occupancy fractions.
-    fn touch_usage(&mut self, spec: TransferSpec, now: SimTime) {
-        let cap = self.params.nic_capacity as f64;
-        for h in [spec.src, spec.dst] {
-            let frac = self.nic_busy[h.index()] as f64 / cap;
-            self.nic_usage[h.index()].set(now, frac);
-        }
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> NetStats {
         self.stats
-    }
-
-    /// Fraction of time the host's NIC has been occupied up to `now`.
-    pub fn nic_utilization(&self, host: HostId, now: SimTime) -> f64 {
-        self.nic_usage[host.index()].mean(now)
     }
 }
 
@@ -964,33 +939,12 @@ mod tests {
         assert_eq!(s.len(), 2, "two channels → two concurrent transfers");
         assert!(n.nic_busy(h(2)));
         assert!(!n.nic_busy(h(1)));
-        // Utilization reflects fractional occupancy.
-        let u = n.nic_utilization(h(0), SimTime::from_millis(100));
-        assert!((u - 0.5).abs() < 1e-9, "one of two channels busy: {u}");
     }
 
     #[test]
     #[should_panic(expected = "at least one channel")]
     fn zero_capacity_rejected() {
         let _ = NetworkParams::with_nic_capacity(0);
-    }
-
-    #[test]
-    fn nic_utilization_tracks_busy_time() {
-        let mut n = net(2, 1000.0);
-        n.submit(spec(0, 1, 1000), 0);
-        let s = n.poll_start(SimTime::ZERO);
-        n.complete(s[0].id, s[0].completes_at); // busy 0 .. 1.05 s
-                                                // At t = 2.1 s each NIC was busy exactly half the time.
-        let u = n.nic_utilization(h(0), SimTime::from_millis(2100));
-        assert!((u - 0.5).abs() < 1e-9, "utilization {u}");
-        assert_eq!(n.nic_utilization(h(1), SimTime::from_millis(2100)), u);
-    }
-
-    #[test]
-    fn idle_nic_has_zero_utilization() {
-        let n = net(2, 1000.0);
-        assert_eq!(n.nic_utilization(h(0), SimTime::from_secs(10)), 0.0);
     }
 
     #[test]

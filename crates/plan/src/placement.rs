@@ -25,22 +25,12 @@ pub struct HostRoster {
 pub enum PlacementError {
     /// A host id was out of range for the roster.
     UnknownHost(HostId),
-    /// The placement's operator count disagrees with the tree's.
-    WrongOperatorCount {
-        /// Operators in the placement.
-        got: usize,
-        /// Operators in the tree.
-        expected: usize,
-    },
 }
 
 impl std::fmt::Display for PlacementError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlacementError::UnknownHost(h) => write!(f, "host {h} is not in the roster"),
-            PlacementError::WrongOperatorCount { got, expected } => {
-                write!(f, "placement has {got} operators, tree has {expected}")
-            }
         }
     }
 }
@@ -152,32 +142,6 @@ impl Placement {
         Placement::all_at(tree, roster.client())
     }
 
-    /// Creates a placement from explicit per-operator sites.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlacementError::WrongOperatorCount`] if the site count
-    /// differs from the tree's operator count, or
-    /// [`PlacementError::UnknownHost`] if a site is outside the roster.
-    pub fn from_sites(
-        tree: &CombinationTree,
-        roster: &HostRoster,
-        sites: Vec<HostId>,
-    ) -> Result<Self, PlacementError> {
-        if sites.len() != tree.operator_count() {
-            return Err(PlacementError::WrongOperatorCount {
-                got: sites.len(),
-                expected: tree.operator_count(),
-            });
-        }
-        for &h in &sites {
-            if h.index() >= roster.host_count() {
-                return Err(PlacementError::UnknownHost(h));
-            }
-        }
-        Ok(Placement { sites })
-    }
-
     /// Host of an operator.
     ///
     /// # Panics
@@ -269,22 +233,6 @@ mod tests {
         for i in 0..tree.operator_count() {
             assert_eq!(p.site(OperatorId::new(i)), roster.client());
         }
-    }
-
-    #[test]
-    fn from_sites_validates() {
-        let (tree, roster) = setup();
-        assert!(matches!(
-            Placement::from_sites(&tree, &roster, vec![HostId::new(0)]),
-            Err(PlacementError::WrongOperatorCount {
-                got: 1,
-                expected: 3
-            })
-        ));
-        assert_eq!(
-            Placement::from_sites(&tree, &roster, vec![HostId::new(99); 3]),
-            Err(PlacementError::UnknownHost(HostId::new(99)))
-        );
     }
 
     #[test]

@@ -207,13 +207,6 @@ impl CombinationTree {
         }
     }
 
-    /// The operator feeding the client (the top of the operator tree).
-    pub fn top_operator(&self) -> OperatorId {
-        let top = self.node(self.root).children[0];
-        self.operator_at(top)
-            .expect("client's child is always an operator for n ≥ 2 servers")
-    }
-
     /// Number of operator levels (1 for two servers; `log2 n` for a
     /// complete binary tree; `n - 1` for a left-deep tree).
     pub fn depth(&self) -> usize {
@@ -451,14 +444,6 @@ mod tests {
             }
         }
         assert_eq!(*order.last().unwrap(), t.root());
-    }
-
-    #[test]
-    fn top_operator_feeds_client() {
-        let t = CombinationTree::complete_binary(8).unwrap();
-        let top = t.top_operator();
-        let top_node = t.operator_node(top);
-        assert_eq!(t.node(top_node).parent, Some(t.root()));
     }
 
     #[test]

@@ -55,14 +55,6 @@ impl Digest {
         self.state = self.state.wrapping_mul(PRIME);
     }
 
-    /// Folds raw bytes into the digest.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        self.byte(0x01);
-        for &b in bytes {
-            self.byte(b);
-        }
-    }
-
     /// Folds a `u64` (little-endian) into the digest.
     pub fn write_u64(&mut self, v: u64) {
         self.byte(0x02);

@@ -77,11 +77,6 @@ impl Tally {
         }
     }
 
-    /// Standard deviation of the observations.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

@@ -1,7 +1,7 @@
 //! Prints the differential suite's measured margins (used to calibrate
 //! the tolerance constants; not part of the test suite).
 
-use wadc_core::algorithms::one_shot::improve_placement_by;
+use wadc_core::algorithms::one_shot::{improve_placement, SearchScratch};
 use wadc_core::engine::Algorithm;
 use wadc_core::experiment::Experiment;
 use wadc_core::knowledge::KnowledgeMode;
@@ -26,13 +26,15 @@ fn main() {
             let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers).unwrap();
             let roster = HostRoster::one_host_per_server(cfg.n_servers);
             let view = exp.links().oracle_at(SimTime::ZERO);
-            let placement = improve_placement_by(
+            let placement = improve_placement(
                 &tree,
                 &roster,
                 Placement::download_all(&tree, &roster),
                 view,
                 &cfg.cost_model,
                 cfg.objective,
+                &[],
+                &mut SearchScratch::new(),
             )
             .placement;
             let est = pipeline_estimate(&tree, &roster, &placement, view, &cfg.cost_model);

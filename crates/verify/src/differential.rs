@@ -13,7 +13,7 @@
 //!   network-bound run up by at most `k`, and nearly `k` when transfers
 //!   dominate.
 
-use wadc_core::algorithms::one_shot::improve_placement_by;
+use wadc_core::algorithms::one_shot::{improve_placement, SearchScratch};
 use wadc_core::engine::audit::AuditEvent;
 use wadc_core::engine::{Algorithm, RunResult};
 use wadc_core::experiment::Experiment;
@@ -246,13 +246,15 @@ pub fn check_cost_model_agreement(exp: &Experiment, algorithm: Algorithm) -> Res
     let placement = match algorithm {
         Algorithm::DownloadAll => Placement::download_all(&tree, &roster),
         _ => {
-            improve_placement_by(
+            improve_placement(
                 &tree,
                 &roster,
                 Placement::download_all(&tree, &roster),
                 view,
                 &cfg.cost_model,
                 cfg.objective,
+                &[],
+                &mut SearchScratch::new(),
             )
             .placement
         }

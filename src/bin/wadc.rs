@@ -10,7 +10,7 @@
 //! wadc study --gauge-analysis [--seed S]
 //! wadc trace [--pair A,B] [--seed S] [--window-hours H]
 //! wadc plan  [--servers N] [--seed S] [--objective critical-path|contended]
-//! wadc verify [--quick] [--seed S] [--print-golden] [--print-golden-topo]
+//! wadc verify [--quick] [--seed S] [--threads T] [--print-golden] [--print-golden-topo]
 //! wadc chaos [--loss P] [--probe-blackhole P] [--move-failure P] [--outages N]
 //!            [--outage-mins M] [--crash-host H] [--crash-at-secs S] [--seed S]
 //! wadc chaos --soak N [--shrink] [--threads T] [--servers N] [--seed S]
@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use wadc::core::algorithms::one_shot::{one_shot_placement, Objective};
+use wadc::core::algorithms::one_shot::{improve_placement, Objective, SearchScratch};
 use wadc::core::engine::{Algorithm, AuditEvent, EngineConfig};
 use wadc::core::experiment::Experiment;
 use wadc::core::gauging;
@@ -85,9 +85,10 @@ verify check engine conformance: golden digests, determinism, invariants,
        differential and chaos suites
          --quick  --seed S (42)  --print-golden (regenerate the fixture)
          --print-golden-topo (regenerate the topology-backend fixture)
-         --threads T (2): sweep-gate and chaos-matrix thread count
-           (deliberately not clamped to the core count — oversubscribed
-           interleavings are exactly what the gate must survive)
+         --threads T (2, at least 2): sweep-gate and chaos-matrix thread
+           count (deliberately not clamped to the core count —
+           oversubscribed interleavings are exactly what the gate must
+           survive)
 chaos  simulate one configuration under an injected fault plan and report
        recovery statistics against the clean run of the same world
          --loss P (0.05)  --probe-blackhole P (0)  --move-failure P (0)
@@ -101,8 +102,9 @@ chaos  simulate one configuration under an injected fault plan and report
            algorithms; every run must validate, reproduce bit for bit,
            pass the invariant checker and end with an explicit outcome
          --shrink: on failure, reduce the plan to a minimal reproduction
-         --servers N (4)  --seed S (1998)  --threads T (2, not clamped:
-           the report is thread-count-invariant by construction)
+         --servers N (4)  --seed S (1998)  --threads T (2, at least 1,
+           not clamped: the report is thread-count-invariant by
+           construction)
          the soak draws its own fault plans and takes no other flag
 
 World sizes are bounded: --servers from 2 to {max_servers} and --images from 1 to
@@ -656,17 +658,16 @@ fn cmd_plan(flags: HashMap<String, String>) {
     let da_cp = critical_path(&tree, &roster, &download_all, view, &model);
     println!("download-all critical path: {:.2} s/partition", da_cp.cost);
 
-    let result = match objective {
-        Objective::CriticalPath => one_shot_placement(&tree, &roster, view, &model),
-        Objective::Contended => wadc::core::algorithms::one_shot::improve_placement_by(
-            &tree,
-            &roster,
-            download_all.clone(),
-            view,
-            &model,
-            Objective::Contended,
-        ),
-    };
+    let result = improve_placement(
+        &tree,
+        &roster,
+        download_all,
+        view,
+        &model,
+        objective,
+        &[],
+        &mut SearchScratch::new(),
+    );
     println!(
         "one-shot placement ({} iterations): {:.2} s/partition",
         result.iterations, result.cost
@@ -701,6 +702,17 @@ const GOLDEN_FIXTURE: &str = include_str!("../../tests/golden/digests.txt");
 const GOLDEN_FIXTURE_TOPO: &str = include_str!("../../tests/golden/digests_topo.txt");
 
 fn cmd_verify(flags: HashMap<String, String>) {
+    // Not resolve_threads: the verify gate *wants* oversubscription (more
+    // workers than cores still shuffles completion order), so the flag is
+    // taken as given. Below 2 the threads=1 == threads=N gate would
+    // compare the sequential study with itself.
+    let threads = flag(&flags, "--threads", 2usize);
+    if threads < 2 {
+        reject(
+            "verify --threads must be at least 2: the threads=1 == threads=N gate \
+             would compare the sequential study with itself",
+        );
+    }
     if flags.contains_key("--print-golden") {
         print!("{}", golden::render_fixture());
         return;
@@ -710,10 +722,6 @@ fn cmd_verify(flags: HashMap<String, String>) {
         return;
     }
     let seed = flag(&flags, "--seed", 42u64);
-    // Not resolve_threads: the verify gate *wants* oversubscription (more
-    // workers than cores still shuffles completion order), so the flag is
-    // taken as given.
-    let threads = flag(&flags, "--threads", 2usize).max(1);
     let mut failures: Vec<String> = Vec::new();
 
     let cases = golden::golden_cases();
@@ -838,13 +846,16 @@ fn cmd_chaos_soak(flags: HashMap<String, String>) {
     if n_plans == 0 {
         reject("--soak must be at least 1");
     }
-    check_size(&flags, 4);
-    let servers = flag(&flags, "--servers", 4usize);
-    let seed = flag(&flags, "--seed", 1998u64);
     // Not resolve_threads: like the verify gate, the soak's report is
     // sworn to be thread-count-invariant, so oversubscription is a
     // feature, not a mistake to clamp away.
-    let threads = flag(&flags, "--threads", 2usize).max(1);
+    let threads = flag(&flags, "--threads", 2usize);
+    if threads == 0 {
+        reject("chaos --soak --threads must be at least 1");
+    }
+    check_size(&flags, 4);
+    let servers = flag(&flags, "--servers", 4usize);
+    let seed = flag(&flags, "--seed", 1998u64);
     let shrink = flags.contains_key("--shrink");
     check_world(&Experiment::quick(servers, seed), Algorithm::DownloadAll);
     println!(

@@ -122,6 +122,20 @@ fn inputs_no_run_can_take_exit_2_with_the_reason() {
             &["chaos", "--soak", "1", "--servers", "257"],
             "at most 256 servers",
         ),
+        // A threads=1 == threads=N gate at N = 1 compares a study with
+        // itself.
+        (
+            &["verify", "--quick", "--threads", "1"],
+            "verify --threads must be at least 2",
+        ),
+        (
+            &["verify", "--quick", "--threads", "0"],
+            "verify --threads must be at least 2",
+        ),
+        (
+            &["chaos", "--soak", "3", "--threads", "0"],
+            "chaos --soak --threads must be at least 1",
+        ),
     ] {
         assert_rejected(args, reason);
     }
