@@ -2,7 +2,7 @@
 //! axis the paper fixes, varied here to quantify its contribution.
 //!
 //! ```sh
-//! cargo run --release -p wadc-bench --bin ablations -- [--which all|objective|knowledge|probes|ordering|tthres|monitoring|duplex|mobility|state] [--configs N]
+//! cargo run --release -p wadc-bench --bin ablations -- [--which all|objective|knowledge|probes|ordering|tthres|monitoring|duplex|mobility|state] [--configs N] [--seed S] [--json PATH]
 //! ```
 //!
 //! - `objective`  — the paper's critical-path planning objective vs the
@@ -14,13 +14,19 @@
 //! - `ordering`   — complete-binary vs left-deep vs bandwidth-aware greedy
 //!   ordering, under one-shot placement (order and location interact),
 //! - `tthres`     — the monitoring cache timeout `T_thres` (paper: 40 s),
+//! - `monitoring` — on-demand probing vs periodic active probing,
+//! - `duplex`     — the NIC's concurrent transfer channels (paper: one),
+//! - `mobility`   — pre-installed operator code vs shipped mobile objects,
 //! - `state`      — the operator-state size shipped on relocation.
+//!
+//! A `--which` that names no ablation exits 2 before any work.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use wadc_bench::json::Json;
 use wadc_core::algorithms::one_shot::Objective;
-use wadc_core::engine::Algorithm;
+use wadc_core::engine::{Algorithm, EngineConfig};
 use wadc_core::experiment::Experiment;
 use wadc_core::knowledge::KnowledgeMode;
 use wadc_mobile::registry::MobilityMode;
@@ -28,6 +34,7 @@ use wadc_plan::ordering::bandwidth_aware_binary;
 use wadc_plan::placement::HostRoster;
 use wadc_plan::tree::TreeShape;
 use wadc_sim::time::{SimDuration, SimTime};
+use wadc_trace::model::BandwidthTrace;
 use wadc_trace::study::BandwidthStudy;
 
 struct Args {
@@ -37,7 +44,9 @@ struct Args {
     json: Option<PathBuf>,
 }
 
-fn parse_args() -> Args {
+/// Parses `std::env::args`; exits 2 with the reason on `--configs 0` or a
+/// `--which` that is neither `all` nor one of `known`.
+fn parse_args(known: &[&str]) -> Args {
     let mut args = Args {
         which: "all".to_string(),
         configs: 60,
@@ -59,23 +68,34 @@ fn parse_args() -> Args {
         }
     }
     wadc_bench::require_configs(args.configs);
+    if args.which != "all" && !known.contains(&args.which.as_str()) {
+        eprintln!(
+            "error: --which {} names no ablation; known: all, {}",
+            args.which,
+            known.join(", ")
+        );
+        std::process::exit(2);
+    }
     args
 }
 
 /// A named ablation variant: a closure producing the metric for one world.
-type Variant<'a> = (&'a str, Box<dyn Fn(&Experiment) -> f64>);
+type Variant = (&'static str, Box<dyn Fn(&Experiment) -> f64>);
 
-/// Runs `variants` against `configs` paper-style worlds; returns the mean
-/// speedup over download-all per variant.
+/// An ablation: its `--which` name, its report title and its variants.
+type Ablation = (&'static str, &'static str, Vec<Variant>);
+
+/// Runs `variants` against `configs` paper-style worlds built from `pool`;
+/// returns the mean speedup over download-all per variant.
 fn sweep(
-    study: &BandwidthStudy,
+    pool: &[Arc<BandwidthTrace>],
     configs: usize,
     seed: u64,
-    variants: &[Variant<'_>],
-) -> Vec<(String, f64)> {
+    variants: &[Variant],
+) -> Vec<(&'static str, f64)> {
     let mut sums = vec![0.0; variants.len()];
     for i in 0..configs {
-        let exp = Experiment::from_study(8, study, SimDuration::from_hours(24), i as u64, seed);
+        let exp = Experiment::from_study_pool(8, pool, i as u64, seed);
         for (j, (_, run)) in variants.iter().enumerate() {
             sums[j] += run(&exp);
         }
@@ -83,7 +103,7 @@ fn sweep(
     variants
         .iter()
         .zip(sums)
-        .map(|((name, _), s)| (name.to_string(), s / configs as f64))
+        .map(|((name, _), s)| (*name, s / configs as f64))
         .collect()
 }
 
@@ -92,160 +112,106 @@ fn speedup(exp: &Experiment, alg: Algorithm) -> f64 {
     exp.run(alg).speedup_over(&da)
 }
 
-fn report(title: &str, rows: &[(String, f64)], results: &mut Vec<Json>) {
+fn report(title: &str, rows: &[(&str, f64)], results: &mut Vec<Json>) {
     println!("\n=== ablation: {title} ===");
     for (name, mean) in rows {
         println!("{name:<40} mean speedup {mean:.3}");
     }
     let rows: Vec<Json> = rows
         .iter()
-        .map(|(n, m)| {
-            Json::obj()
-                .field("variant", n.as_str())
-                .field("mean_speedup", *m)
-        })
+        .map(|&(n, m)| Json::obj().field("variant", n).field("mean_speedup", m))
         .collect();
     results.push(Json::obj().field("ablation", title).field("rows", rows));
 }
 
-fn main() {
-    let args = parse_args();
-    let study = BandwidthStudy::default_study(args.seed);
-    let configs = args.configs;
-    let seed = args.seed;
-    let mut results = Vec::new();
-    let all = args.which == "all";
+/// The global algorithm re-planning every `mins` minutes.
+fn global(mins: u64) -> Algorithm {
+    Algorithm::Global {
+        period: SimDuration::from_mins(mins),
+    }
+}
 
-    if all || args.which == "objective" {
-        let rows = sweep(
-            &study,
-            configs,
-            seed,
-            &[
-                (
-                    "one-shot / critical-path objective",
-                    Box::new(|e: &Experiment| speedup(e, Algorithm::OneShot)),
-                ),
-                (
-                    "one-shot / contention-aware objective",
-                    Box::new(|e: &Experiment| {
-                        speedup(
-                            &e.clone().with_objective(Objective::Contended),
-                            Algorithm::OneShot,
-                        )
-                    }),
-                ),
-                (
-                    "global / critical-path objective",
-                    Box::new(|e: &Experiment| speedup(e, Algorithm::global_default())),
-                ),
-                (
-                    "global / contention-aware objective",
-                    Box::new(|e: &Experiment| {
-                        speedup(
-                            &e.clone().with_objective(Objective::Contended),
-                            Algorithm::global_default(),
-                        )
-                    }),
-                ),
-            ],
-        );
-        report(
+/// A variant measuring `alg`'s speedup on each world as `tweak` changes it.
+fn variant(
+    name: &'static str,
+    alg: Algorithm,
+    tweak: impl Fn(Experiment) -> Experiment + 'static,
+) -> Variant {
+    (
+        name,
+        Box::new(move |e: &Experiment| speedup(&tweak(e.clone()), alg)),
+    )
+}
+
+/// A variant measuring `alg`'s speedup after `set` changes each world's
+/// engine configuration.
+fn configured(
+    name: &'static str,
+    alg: Algorithm,
+    set: impl Fn(&mut EngineConfig) + 'static,
+) -> Variant {
+    variant(name, alg, move |mut e| {
+        set(e.template_mut());
+        e
+    })
+}
+
+/// Every ablation, in report order. `--which` is checked against and
+/// dispatched through these names.
+fn ablations() -> Vec<Ablation> {
+    let one_shot = Algorithm::OneShot;
+    let global_default = Algorithm::global_default();
+    let contended = |e: Experiment| e.with_objective(Objective::Contended);
+    vec![
+        (
+            "objective",
             "planning objective (paper vs contention-aware)",
-            &rows,
-            &mut results,
-        );
-    }
-
-    if all || args.which == "knowledge" {
-        let rows = sweep(
-            &study,
-            configs,
-            seed,
-            &[
-                (
-                    "global / monitored knowledge",
-                    Box::new(|e: &Experiment| speedup(e, Algorithm::global_default())),
-                ),
-                (
-                    "global / oracle knowledge",
-                    Box::new(|e: &Experiment| {
-                        speedup(
-                            &e.clone().with_knowledge(KnowledgeMode::Oracle),
-                            Algorithm::global_default(),
-                        )
-                    }),
-                ),
-                (
-                    "global / NWS-style forecasts",
-                    Box::new(|e: &Experiment| {
-                        speedup(
-                            &e.clone().with_knowledge(KnowledgeMode::Forecast),
-                            Algorithm::global_default(),
-                        )
-                    }),
+            vec![
+                variant("one-shot / critical-path objective", one_shot, |e| e),
+                variant("one-shot / contention-aware objective", one_shot, contended),
+                variant("global / critical-path objective", global_default, |e| e),
+                variant(
+                    "global / contention-aware objective",
+                    global_default,
+                    contended,
                 ),
             ],
-        );
-        report(
+        ),
+        (
+            "knowledge",
             "planner knowledge (monitoring staleness)",
-            &rows,
-            &mut results,
-        );
-    }
-
-    if all || args.which == "probes" {
-        let mk = |probe_bytes: u64, mins: u64| {
-            move |e: &Experiment| {
-                let mut e = e.clone();
-                e.template_mut().probe_bytes = probe_bytes;
-                speedup(
-                    &e,
-                    Algorithm::Global {
-                        period: SimDuration::from_mins(mins),
-                    },
-                )
-            }
-        };
-        let rows = sweep(
-            &study,
-            configs,
-            seed,
-            &[
-                ("global 2 min / free measurements", Box::new(mk(0, 2))),
-                (
-                    "global 2 min / 16 KB probe traffic",
-                    Box::new(mk(16 * 1024, 2)),
-                ),
-                ("global 10 min / free measurements", Box::new(mk(0, 10))),
-                (
-                    "global 10 min / 16 KB probe traffic",
-                    Box::new(mk(16 * 1024, 10)),
-                ),
+            vec![
+                variant("global / monitored knowledge", global_default, |e| e),
+                variant("global / oracle knowledge", global_default, |e| {
+                    e.with_knowledge(KnowledgeMode::Oracle)
+                }),
+                variant("global / NWS-style forecasts", global_default, |e| {
+                    e.with_knowledge(KnowledgeMode::Forecast)
+                }),
             ],
-        );
-        report("on-demand probe traffic", &rows, &mut results);
-    }
-
-    if all || args.which == "ordering" {
-        let rows = sweep(
-            &study,
-            configs,
-            seed,
-            &[
-                (
-                    "one-shot / complete binary",
-                    Box::new(|e: &Experiment| speedup(e, Algorithm::OneShot)),
-                ),
-                (
-                    "one-shot / left-deep",
-                    Box::new(|e: &Experiment| {
-                        speedup(
-                            &e.clone().with_tree_shape(TreeShape::LeftDeep),
-                            Algorithm::OneShot,
-                        )
-                    }),
-                ),
+        ),
+        (
+            "probes",
+            "on-demand probe traffic",
+            [
+                ("global 2 min / free measurements", 2, 0),
+                ("global 2 min / 16 KB probe traffic", 2, 16 * 1024),
+                ("global 10 min / free measurements", 10, 0),
+                ("global 10 min / 16 KB probe traffic", 10, 16 * 1024),
+            ]
+            .map(|(name, mins, bytes)| {
+                configured(name, global(mins), move |c| c.probe_bytes = bytes)
+            })
+            .into(),
+        ),
+        (
+            "ordering",
+            "combination ordering (order vs location)",
+            vec![
+                variant("one-shot / complete binary", one_shot, |e| e),
+                variant("one-shot / left-deep", one_shot, |e| {
+                    e.with_tree_shape(TreeShape::LeftDeep)
+                }),
                 (
                     "one-shot / bandwidth-aware ordering",
                     Box::new(|e: &Experiment| {
@@ -261,173 +227,108 @@ fn main() {
                     }),
                 ),
             ],
-        );
-        report(
-            "combination ordering (order vs location)",
-            &rows,
-            &mut results,
-        );
-    }
-
-    if all || args.which == "tthres" {
-        let mk = |secs: u64| {
-            move |e: &Experiment| {
-                let mut e = e.clone();
-                e.template_mut().monitor.t_thres = SimDuration::from_secs(secs);
-                speedup(&e, Algorithm::global_default())
-            }
-        };
-        let rows = sweep(
-            &study,
-            configs,
-            seed,
-            &[
-                ("global / T_thres 10 s", Box::new(mk(10))),
-                ("global / T_thres 40 s (paper)", Box::new(mk(40))),
-                ("global / T_thres 120 s", Box::new(mk(120))),
-                ("global / T_thres 600 s", Box::new(mk(600))),
-            ],
-        );
-        report("monitoring cache timeout T_thres", &rows, &mut results);
-    }
-
-    if all || args.which == "monitoring" {
-        let mk = |interval_secs: Option<u64>| {
-            move |e: &Experiment| {
-                let mut e = e.clone();
-                e.template_mut().active_monitoring = interval_secs.map(SimDuration::from_secs);
-                speedup(&e, Algorithm::global_default())
-            }
-        };
-        let rows = sweep(
-            &study,
-            configs,
-            seed,
-            &[
-                ("global / on-demand probing (paper)", Box::new(mk(None))),
-                ("global / active probing every 30 s", Box::new(mk(Some(30)))),
-                (
-                    "global / active probing every 120 s",
-                    Box::new(mk(Some(120))),
-                ),
-            ],
-        );
-        report(
+        ),
+        (
+            "tthres",
+            "monitoring cache timeout T_thres",
+            [
+                ("global / T_thres 10 s", 10),
+                ("global / T_thres 40 s (paper)", 40),
+                ("global / T_thres 120 s", 120),
+                ("global / T_thres 600 s", 600),
+            ]
+            .map(|(name, secs)| {
+                configured(name, global_default, move |c| {
+                    c.monitor.t_thres = SimDuration::from_secs(secs)
+                })
+            })
+            .into(),
+        ),
+        (
+            "monitoring",
             "monitoring style (on-demand vs Komodo/NWS periodic)",
-            &rows,
-            &mut results,
-        );
-    }
-
-    if all || args.which == "duplex" {
-        let mk = |capacity: usize, alg: Algorithm| {
-            move |e: &Experiment| {
-                let mut e = e.clone();
-                e.template_mut().net.nic_capacity = capacity;
-                speedup(&e, alg)
-            }
-        };
-        let rows = sweep(
-            &study,
-            configs,
-            seed,
-            &[
-                (
-                    "global / half-duplex NIC (paper)",
-                    Box::new(mk(1, Algorithm::global_default())),
-                ),
-                (
-                    "global / full-duplex NIC",
-                    Box::new(mk(2, Algorithm::global_default())),
-                ),
-                (
-                    "global / 4-channel NIC",
-                    Box::new(mk(4, Algorithm::global_default())),
-                ),
-            ],
-        );
-        report(
+            [
+                ("global / on-demand probing (paper)", None),
+                ("global / active probing every 30 s", Some(30)),
+                ("global / active probing every 120 s", Some(120)),
+            ]
+            .map(|(name, secs)| {
+                configured(name, global_default, move |c| {
+                    c.active_monitoring = secs.map(SimDuration::from_secs)
+                })
+            })
+            .into(),
+        ),
+        (
+            "duplex",
             "NIC capacity (relaxing the single-interface assumption)",
-            &rows,
-            &mut results,
-        );
-    }
-
-    if all || args.which == "mobility" {
-        let mk = |mode: MobilityMode, code: u64| {
-            move |e: &Experiment| {
-                let mut e = e.clone();
-                e.template_mut().mobility = mode;
-                e.template_mut().code_package_bytes = code;
-                speedup(
-                    &e,
-                    Algorithm::Global {
-                        period: SimDuration::from_mins(2),
-                    },
-                )
-            }
-        };
-        let rows = sweep(
-            &study,
-            configs,
-            seed,
-            &[
+            [
+                ("global / half-duplex NIC (paper)", 1),
+                ("global / full-duplex NIC", 2),
+                ("global / 4-channel NIC", 4),
+            ]
+            .map(|(name, channels)| {
+                configured(name, global_default, move |c| c.net.nic_capacity = channels)
+            })
+            .into(),
+        ),
+        (
+            "mobility",
+            "mobility substrate (pre-installed vs mobile objects)",
+            [
                 (
                     "global 2 min / code pre-installed",
-                    Box::new(mk(MobilityMode::PreInstalled, 0)),
+                    MobilityMode::PreInstalled,
+                    0,
                 ),
                 (
                     "global 2 min / mobile objects, 24 KB code",
-                    Box::new(mk(MobilityMode::MobileObjects, 24 << 10)),
+                    MobilityMode::MobileObjects,
+                    24 << 10,
                 ),
                 (
                     "global 2 min / mobile objects, 256 KB code",
-                    Box::new(mk(MobilityMode::MobileObjects, 256 << 10)),
+                    MobilityMode::MobileObjects,
+                    256 << 10,
                 ),
-            ],
-        );
-        report(
-            "mobility substrate (pre-installed vs mobile objects)",
-            &rows,
-            &mut results,
-        );
-    }
-
-    if all || args.which == "state" {
-        let mk = |bytes: u64| {
-            move |e: &Experiment| {
-                let mut e = e.clone();
-                e.template_mut().operator_state_bytes = bytes;
-                speedup(
-                    &e,
-                    Algorithm::Global {
-                        period: SimDuration::from_mins(2),
-                    },
-                )
-            }
-        };
-        let rows = sweep(
-            &study,
-            configs,
-            seed,
-            &[
-                ("global 2 min / 4 KB operator state", Box::new(mk(4 << 10))),
-                (
-                    "global 2 min / 64 KB operator state",
-                    Box::new(mk(64 << 10)),
-                ),
-                (
-                    "global 2 min / 512 KB operator state",
-                    Box::new(mk(512 << 10)),
-                ),
-                ("global 2 min / 4 MB operator state", Box::new(mk(4 << 20))),
-            ],
-        );
-        report(
+            ]
+            .map(|(name, mode, code)| {
+                configured(name, global(2), move |c| {
+                    c.mobility = mode;
+                    c.code_package_bytes = code;
+                })
+            })
+            .into(),
+        ),
+        (
+            "state",
             "operator state size (light-move assumption)",
-            &rows,
-            &mut results,
-        );
+            [
+                ("global 2 min / 4 KB operator state", 4 << 10),
+                ("global 2 min / 64 KB operator state", 64 << 10),
+                ("global 2 min / 512 KB operator state", 512 << 10),
+                ("global 2 min / 4 MB operator state", 4 << 20),
+            ]
+            .map(|(name, bytes)| {
+                configured(name, global(2), move |c| c.operator_state_bytes = bytes)
+            })
+            .into(),
+        ),
+    ]
+}
+
+fn main() {
+    let ablations = ablations();
+    let names: Vec<&str> = ablations.iter().map(|(name, ..)| *name).collect();
+    let args = parse_args(&names);
+    let pool =
+        BandwidthStudy::default_study(args.seed).noon_trace_pool(SimDuration::from_hours(24));
+    let mut results = Vec::new();
+    for (name, title, variants) in &ablations {
+        if args.which == "all" || args.which == *name {
+            let rows = sweep(&pool, args.configs, args.seed, variants);
+            report(title, &rows, &mut results);
+        }
     }
 
     if let Some(path) = &args.json {

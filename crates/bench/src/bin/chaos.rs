@@ -12,12 +12,16 @@
 //! run, and the mean retransmission count (the recovery work the retry
 //! machinery had to do).
 
+use std::sync::Arc;
+
 use wadc_bench::json::Json;
 use wadc_bench::FigArgs;
-use wadc_core::engine::Algorithm;
+use wadc_core::engine::{Algorithm, RunScratch};
 use wadc_core::experiment::Experiment;
+use wadc_core::sweep::SweepDriver;
 use wadc_net::faults::FaultPlan;
 use wadc_sim::time::SimDuration;
+use wadc_trace::model::BandwidthTrace;
 use wadc_trace::study::BandwidthStudy;
 
 /// Loss-probability sweep (applied to every traffic class, probes too).
@@ -97,31 +101,35 @@ fn fault_points() -> Vec<(String, FaultPlan)> {
     points
 }
 
-/// Runs every cell for configurations `[lo, hi)` of the study.
-fn run_range(study: &BandwidthStudy, seed: u64, lo: u64, hi: u64) -> Vec<Vec<Cell>> {
-    let points = fault_points();
+/// Runs every cell of configuration `index`: each algorithm once clean,
+/// then once per fault point, all on the worker's warm arena.
+fn run_config(
+    pool: &[Arc<BandwidthTrace>],
+    seed: u64,
+    index: usize,
+    points: &[(String, FaultPlan)],
+    scratch: &mut RunScratch,
+) -> Vec<Vec<Cell>> {
+    let exp = Experiment::from_study_pool(8, pool, index as u64, seed);
     let mut cells = vec![vec![Cell::default(); ALGORITHMS.len()]; points.len()];
-    for i in lo..hi {
-        let exp = Experiment::from_study(8, study, SimDuration::from_hours(24), i, seed);
-        for (a, &alg) in ALGORITHMS.iter().enumerate() {
-            let clean = exp.run(alg);
-            for (p, (_, plan)) in points.iter().enumerate() {
-                let mut faulty_exp = exp.clone();
-                faulty_exp.template_mut().faults = plan.clone();
-                let r = faulty_exp.run(alg);
-                let cell = &mut cells[p][a];
-                cell.runs += 1;
-                if r.completed {
-                    cell.completed += 1;
-                    if clean.completed {
-                        cell.slowdown_sum +=
-                            r.completion_time.as_secs_f64() / clean.completion_time.as_secs_f64();
-                        cell.slowdown_n += 1;
-                    }
+    for (a, &alg) in ALGORITHMS.iter().enumerate() {
+        let clean = exp.run_scratch(alg, scratch);
+        for (p, (_, plan)) in points.iter().enumerate() {
+            let mut faulty_exp = exp.clone();
+            faulty_exp.template_mut().faults = plan.clone();
+            let r = faulty_exp.run_scratch(alg, scratch);
+            let cell = &mut cells[p][a];
+            cell.runs += 1;
+            if r.completed {
+                cell.completed += 1;
+                if clean.completed {
+                    cell.slowdown_sum +=
+                        r.completion_time.as_secs_f64() / clean.completion_time.as_secs_f64();
+                    cell.slowdown_n += 1;
                 }
-                cell.retransmits += r.net_stats.retransmits;
-                cell.dropped += r.net_stats.dropped;
             }
+            cell.retransmits += r.net_stats.retransmits;
+            cell.dropped += r.net_stats.dropped;
         }
     }
     cells
@@ -135,7 +143,8 @@ fn main() {
     if std::env::args().all(|a| a != "--configs") {
         args.configs = 24;
     }
-    let study = BandwidthStudy::default_study(args.seed);
+    let pool =
+        BandwidthStudy::default_study(args.seed).noon_trace_pool(SimDuration::from_hours(24));
     let points = fault_points();
     eprintln!(
         "running {} configurations x {} fault points x {} algorithms on {} threads...",
@@ -146,28 +155,21 @@ fn main() {
     );
     let t0 = std::time::Instant::now();
 
-    let configs = args.configs as u64;
-    let threads = args.threads.clamp(1, args.configs.max(1));
-    let chunk = configs.div_ceil(threads as u64);
+    // Cells are summed in configuration order, so the float sums — and
+    // the archive — do not depend on the thread count.
+    let per_config = SweepDriver::new(args.threads).sweep(
+        args.configs,
+        |_worker| RunScratch::new(),
+        |scratch, i| run_config(&pool, args.seed, i, &points, scratch),
+    );
     let mut cells = vec![vec![Cell::default(); ALGORITHMS.len()]; points.len()];
-    std::thread::scope(|scope| {
-        let study = &study;
-        let handles: Vec<_> = (0..threads as u64)
-            .map(|t| {
-                let lo = (t * chunk).min(configs);
-                let hi = ((t + 1) * chunk).min(configs);
-                scope.spawn(move || run_range(study, args.seed, lo, hi))
-            })
-            .collect();
-        for handle in handles {
-            let partial = handle.join().expect("worker panicked");
-            for (p, row) in partial.into_iter().enumerate() {
-                for (a, cell) in row.into_iter().enumerate() {
-                    cells[p][a].absorb(cell);
-                }
+    for config_cells in per_config {
+        for (row, config_row) in cells.iter_mut().zip(config_cells) {
+            for (cell, config_cell) in row.iter_mut().zip(config_row) {
+                cell.absorb(config_cell);
             }
         }
-    });
+    }
     eprintln!("done in {:.1} s", t0.elapsed().as_secs_f64());
 
     let mut json_rows = Vec::new();

@@ -104,6 +104,7 @@ struct Args {
     alloc_gate: bool,
 }
 
+/// Parses `std::env::args`; exits 2 with the reason on `--reps 0`.
 fn parse_args() -> Args {
     let mut args = Args {
         quick: false,
@@ -128,6 +129,10 @@ fn parse_args() -> Args {
                 panic!("unknown flag {other}; known: --quick --reps --seed --json --alloc-gate")
             }
         }
+    }
+    if args.reps == 0 {
+        eprintln!("error: --reps must be at least 1: a bench of no repetitions times nothing");
+        std::process::exit(2);
     }
     args
 }
@@ -169,7 +174,7 @@ fn run_bench(name: &'static str, reps: usize, mut iter: impl FnMut() -> u64) -> 
     let mut secs = Vec::with_capacity(reps);
     let mut units = 0;
     let mut alloc = AllocStats::default();
-    for _ in 0..reps.max(1) {
+    for _ in 0..reps {
         let scope = AllocScope::begin();
         let t0 = Instant::now();
         units = iter();

@@ -1,12 +1,13 @@
-//! The figure and ablation binaries refuse `--configs 0`: they exit 2 with
-//! the reason on standard error before any work, instead of printing NaN
-//! means or a "best" setting chosen from nothing.
+//! The bench binaries refuse input they would otherwise drop: they exit 2
+//! with the reason on standard error before any work, instead of printing
+//! NaN means, a "best" setting chosen from nothing, an empty archive or a
+//! repetition count other than the one asked for.
 
 use std::process::Command;
 
-/// Asserts that `bin args` exits 2, names the reason on standard error and
+/// Asserts that `bin args` exits 2, gives `reason` on standard error and
 /// printed nothing on standard output (so nothing ran).
-fn assert_rejected(bin: &str, args: &[&str]) {
+fn assert_rejected(bin: &str, args: &[&str], reason: &str) {
     let out = Command::new(bin)
         .args(args)
         .output()
@@ -18,8 +19,8 @@ fn assert_rejected(bin: &str, args: &[&str]) {
         "{bin} {args:?} should exit 2; stderr: {stderr}"
     );
     assert!(
-        stderr.contains("--configs must be at least 1"),
-        "{bin} {args:?} should give the reason; stderr: {stderr}"
+        stderr.contains(reason),
+        "{bin} {args:?} should give the reason {reason:?}; stderr: {stderr}"
     );
     assert!(
         out.stdout.is_empty(),
@@ -30,10 +31,41 @@ fn assert_rejected(bin: &str, args: &[&str]) {
 
 #[test]
 fn figure_binaries_reject_zero_configs() {
-    assert_rejected(env!("CARGO_BIN_EXE_fig6"), &["--configs", "0"]);
+    assert_rejected(
+        env!("CARGO_BIN_EXE_fig6"),
+        &["--configs", "0"],
+        "--configs must be at least 1",
+    );
 }
 
 #[test]
 fn ablations_reject_zero_configs() {
-    assert_rejected(env!("CARGO_BIN_EXE_ablations"), &["--configs", "0"]);
+    assert_rejected(
+        env!("CARGO_BIN_EXE_ablations"),
+        &["--configs", "0"],
+        "--configs must be at least 1",
+    );
+}
+
+#[test]
+fn ablations_reject_an_unknown_which() {
+    // A misspelt name must not select nothing and archive `[]`.
+    assert_rejected(
+        env!("CARGO_BIN_EXE_ablations"),
+        &["--which", "objectiv"],
+        "--which objectiv names no ablation; known: all, objective, knowledge,",
+    );
+}
+
+#[test]
+fn perf_rejects_zero_reps() {
+    // A bench of no repetitions must not quietly run one. Should the check
+    // regress, the archive lands in the temp dir, not the tree.
+    let archive = std::env::temp_dir().join("wadc-perf-rejects-zero-reps.json");
+    let archive = archive.to_str().expect("a UTF-8 temp path");
+    assert_rejected(
+        env!("CARGO_BIN_EXE_perf"),
+        &["--reps", "0", "--quick", "--json", archive],
+        "--reps must be at least 1",
+    );
 }

@@ -17,7 +17,6 @@ use wadc_sim::time::SimDuration;
 use wadc_topo::graph::Topology;
 use wadc_topo::preset::{build_preset, TopoPreset};
 use wadc_trace::model::BandwidthTrace;
-use wadc_trace::study::BandwidthStudy;
 use wadc_trace::synth::{generate, SynthParams};
 
 use crate::algorithms::one_shot::Objective;
@@ -90,38 +89,17 @@ impl Experiment {
         }
     }
 
-    /// The paper's construction: assign traces from `pool` uniformly at
+    /// Builds configuration number `index` of a paper-style study — the
+    /// paper's construction: traces from `pool` (a study's noon-aligned
+    /// trace pool, extracted once by the caller) assigned uniformly at
     /// random to the links of the complete graph over `n_servers + 1`
-    /// hosts, with the paper's default workload.
+    /// hosts, with the paper's default workload. Every seed derives from
+    /// `(master_seed, index)`, so a configuration is the same world
+    /// whichever driver builds it.
     ///
     /// # Panics
     ///
     /// Panics if the pool is empty.
-    pub fn from_pool(n_servers: usize, pool: &[Arc<BandwidthTrace>], seed: u64) -> Self {
-        let links =
-            LinkTable::random_from_pool(n_servers + 1, pool, derive_seed2(seed, STREAM_LINKS, 0));
-        let template = EngineConfig::new(n_servers, Algorithm::DownloadAll)
-            .with_seed(derive_seed2(seed, STREAM_WORKLOAD, 0));
-        Experiment::new(links, template)
-    }
-
-    /// Builds configuration number `index` of a paper-style study: traces
-    /// drawn from the study's noon-aligned pool.
-    pub fn from_study(
-        n_servers: usize,
-        study: &BandwidthStudy,
-        window: SimDuration,
-        index: u64,
-        master_seed: u64,
-    ) -> Self {
-        let pool = study.noon_trace_pool(window);
-        Experiment::from_study_pool(n_servers, &pool, index, master_seed)
-    }
-
-    /// [`Experiment::from_study`] with the study's noon-aligned trace pool
-    /// already extracted, so a study driver can pay for the pool once and
-    /// build every configuration from it. Seed derivation is identical to
-    /// `from_study` — the two constructors produce the same world.
     pub fn from_study_pool(
         n_servers: usize,
         pool: &[Arc<BandwidthTrace>],
@@ -166,7 +144,7 @@ impl Experiment {
     /// A deliberately small world for unit tests and doctests: a handful
     /// of short synthetic traces, 8 images of ~16 KB per server.
     pub fn quick(n_servers: usize, seed: u64) -> Self {
-        Experiment::from_pool(n_servers, &Experiment::quick_pool(seed), seed)
+        Experiment::from_study_pool(n_servers, &Experiment::quick_pool(seed), 0, seed)
             .with_workload(Experiment::quick_workload())
     }
 

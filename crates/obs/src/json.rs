@@ -1,8 +1,9 @@
 //! A minimal JSON value, writer and parser.
 //!
 //! This module is the workspace's whole serialization layer: a value
-//! enum, `From` conversions, a pretty printer, and a small recursive
-//! descent parser (used by the trace schema tests). It exists so the
+//! enum, `From` conversions, one writer with a pretty and a compact
+//! layout, and a small recursive descent parser (used by the trace
+//! schema tests and the trace explorer's round trip). It exists so the
 //! workspace carries no external serialization dependency. It began life
 //! in `wadc-bench` for the figure archives and moved here when the trace
 //! exporters needed it; `wadc_bench::json` re-exports it unchanged.
@@ -79,7 +80,7 @@ impl Json {
     /// layout the figure archives have always used.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        self.render(&mut out, 0);
+        self.render(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -88,45 +89,8 @@ impl Json {
     /// JSONL streams and large trace files.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.render_compact(&mut out);
+        self.render(&mut out, None);
         out
-    }
-
-    fn render_compact(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => escape_into(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    escape_into(key, out);
-                    out.push(':');
-                    value.render_compact(out);
-                }
-                out.push('}');
-            }
-        }
     }
 
     /// Parses a JSON document. Accepts exactly one value surrounded by
@@ -145,7 +109,10 @@ impl Json {
         Ok(v)
     }
 
-    fn render(&self, out: &mut String, indent: usize) {
+    /// Renders into `out`: `Some(depth)` pretty-prints a value nested
+    /// `depth` levels deep, `None` renders compactly.
+    fn render(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|depth| depth + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -158,36 +125,30 @@ impl Json {
                 }
             }
             Json::Str(s) => escape_into(s, out),
+            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
+            Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline_indent(out, indent + 1);
-                    item.render(out, indent + 1);
+                    newline_indent(out, inner);
+                    item.render(out, inner);
                 }
                 newline_indent(out, indent);
                 out.push(']');
             }
             Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
                 out.push('{');
                 for (i, (key, value)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline_indent(out, indent + 1);
+                    newline_indent(out, inner);
                     escape_into(key, out);
-                    out.push_str(": ");
-                    value.render(out, indent + 1);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    value.render(out, inner);
                 }
                 newline_indent(out, indent);
                 out.push('}');
@@ -196,9 +157,12 @@ impl Json {
     }
 }
 
-fn newline_indent(out: &mut String, indent: usize) {
+/// Starts a new line indented `depth` levels when pretty-printing
+/// (`Some(depth)`); writes nothing when compact.
+fn newline_indent(out: &mut String, indent: Option<usize>) {
+    let Some(depth) = indent else { return };
     out.push('\n');
-    for _ in 0..indent {
+    for _ in 0..depth {
         out.push_str("  ");
     }
 }
@@ -465,10 +429,48 @@ mod tests {
 
     #[test]
     fn round_trip_precision() {
-        // Display of f64 is shortest-round-trip: parsing it back is exact.
-        let x = 0.1 + 0.2;
-        let text = Json::Num(x).to_string_pretty();
-        assert_eq!(text.trim().parse::<f64>().unwrap(), x);
+        // Display of f64 is its shortest exact form, so every finite double
+        // survives either layout and the parser bit for bit — the property
+        // a bandwidth trace relies on to round-trip through JSON.
+        let mut values = vec![
+            0.1 + 0.2,
+            0.0,
+            -0.0,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::EPSILON,
+            f64::from_bits(1),                     // smallest subnormal
+            f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+        ];
+        for k in 0..=53 {
+            let p = 1u64 << k;
+            values.extend([p - 1, p].map(|n| n as f64));
+        }
+        let mut rng = wadc_sim::rng::Rng64::seed_from_u64(0x6a73_6f6e);
+        for _ in 0..2_000 {
+            values.push(rng.range_u64(0, 1 << 53) as f64);
+            // Clearing the exponent bits keeps sign and mantissa: a
+            // subnormal (or a signed zero).
+            values.push(f64::from_bits(rng.next_u64() & 0x800f_ffff_ffff_ffff));
+        }
+        while values.len() < 20_000 {
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                values.push(x);
+            }
+        }
+        let doc = Json::Arr(values.iter().map(|&x| Json::Num(x)).collect());
+        for text in [doc.to_string_pretty(), doc.to_string_compact()] {
+            let parsed = Json::parse(&text).expect("the writer's output parses");
+            let back = parsed.as_arr().expect("an array");
+            assert_eq!(back.len(), values.len());
+            for (x, y) in values.iter().zip(back) {
+                let y = y.as_num().expect("a number");
+                assert_eq!(y.to_bits(), x.to_bits(), "{x:e} came back as {y:e}");
+            }
+        }
     }
 
     #[test]

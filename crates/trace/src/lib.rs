@@ -13,8 +13,7 @@
 //!   bandwidth changes arrive about every 2 minutes as the paper measured,
 //! - [`study::BandwidthStudy`] — the synthetic multi-day study over the
 //!   paper's host regions, with noon-aligned segment extraction,
-//! - [`stats`] — change-interval analysis and Figure-2-style summaries,
-//! - [`io`] — JSON persistence.
+//! - [`stats`] — change-interval analysis and Figure-2-style summaries.
 //!
 //! # Examples
 //!
@@ -31,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod io;
 pub mod model;
 pub mod stats;
 pub mod study;

@@ -13,8 +13,8 @@ use wadc::sim::time::SimDuration;
 use wadc::trace::study::BandwidthStudy;
 
 fn main() {
-    let study = BandwidthStudy::default_study(7);
-    let exp = Experiment::from_study(8, &study, SimDuration::from_hours(24), 3, 7);
+    let pool = BandwidthStudy::default_study(7).noon_trace_pool(SimDuration::from_hours(24));
+    let exp = Experiment::from_study_pool(8, &pool, 3, 7);
 
     for alg in [
         Algorithm::OneShot,

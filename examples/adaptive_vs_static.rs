@@ -23,7 +23,8 @@ fn main() {
         study.duration().as_secs_f64() / 3600.0
     );
 
-    let exp = Experiment::from_study(8, &study, SimDuration::from_hours(24), 0, 1998);
+    let pool = study.noon_trace_pool(SimDuration::from_hours(24));
+    let exp = Experiment::from_study_pool(8, &pool, 0, 1998);
 
     println!("\nrunning 8 servers x 180 images (~128 KB each) under four strategies...\n");
     let baseline = exp.run(Algorithm::DownloadAll);

@@ -1,13 +1,14 @@
 //! Explore the synthetic Internet bandwidth study: per-pair summaries, the
 //! ≥10%-change-interval statistic the paper calibrated `T_thres` against,
-//! and JSON round-tripping of a trace.
+//! and an exact JSON round trip of a trace.
 //!
 //! ```sh
 //! cargo run --release --example trace_explorer
 //! ```
 
+use wadc::obs::json::Json;
 use wadc::sim::time::{SimDuration, SimTime};
-use wadc::trace::io::{load_trace, save_trace};
+use wadc::trace::model::{BandwidthTrace, Sample};
 use wadc::trace::stats::{mean_change_interval, summarize};
 use wadc::trace::study::BandwidthStudy;
 
@@ -58,17 +59,40 @@ fn main() {
         println!("{:>3} min {:>7.1} KB/s {bar}", minute, bw);
     }
 
-    // Persist and reload the noon segment.
+    // Round-trip the noon segment through JSON: `Display` of an f64 is its
+    // shortest exact form, so the reloaded trace equals the original.
     let noon_segment = tr.extract(SimTime::from_secs(12 * 3600), SimDuration::from_hours(6));
-    let path = std::env::temp_dir().join("wadc-umd-inria-noon.json");
-    save_trace(&noon_segment, &path).expect("writable temp dir");
-    let reloaded = load_trace(&path).expect("just wrote it");
+    let text = Json::Arr(
+        noon_segment
+            .samples()
+            .iter()
+            .map(|s| {
+                Json::obj()
+                    .field("at", s.at.as_micros())
+                    .field("bytes_per_sec", s.bytes_per_sec)
+            })
+            .collect(),
+    )
+    .to_string_compact();
+    let parsed = Json::parse(&text).expect("the writer's own output parses");
+    let samples = parsed
+        .as_arr()
+        .expect("an array of samples")
+        .iter()
+        .map(|s| Sample {
+            at: SimTime::from_micros(s.get("at").and_then(Json::as_num).expect("at") as u64),
+            bytes_per_sec: s
+                .get("bytes_per_sec")
+                .and_then(Json::as_num)
+                .expect("bytes_per_sec"),
+        })
+        .collect();
+    let reloaded = BandwidthTrace::from_samples(samples).expect("valid samples");
+    assert_eq!(reloaded, noon_segment, "the JSON round trip is exact");
     println!(
-        "\nsaved noon segment to {} ({} samples), reload OK: {} samples, {:?} mean change",
-        path.display(),
-        noon_segment.len(),
+        "\nnoon segment as JSON: {} samples in {} bytes, reloaded exactly, {:?} mean change",
         reloaded.len(),
+        text.len(),
         mean_change_interval(&reloaded, 0.10).map(|d| format!("{:.0} s", d.as_secs_f64())),
     );
-    std::fs::remove_file(&path).ok();
 }

@@ -338,13 +338,10 @@ fn build_experiment(flags: &HashMap<String, String>) -> Experiment {
     let servers = flag(flags, "--servers", 8usize);
     let seed = flag(flags, "--seed", 1998u64);
     let config = flag(flags, "--config", 0u64);
-    let study = BandwidthStudy::default_study(seed);
+    let pool = BandwidthStudy::default_study(seed).noon_trace_pool(SimDuration::from_hours(24));
     let mut exp = match topology_from(flags) {
-        Some(preset) => {
-            let pool = study.noon_trace_pool(SimDuration::from_hours(24));
-            Experiment::from_study_pool_topo(servers, &pool, preset, config, seed)
-        }
-        None => Experiment::from_study(servers, &study, SimDuration::from_hours(24), config, seed),
+        Some(preset) => Experiment::from_study_pool_topo(servers, &pool, preset, config, seed),
+        None => Experiment::from_study_pool(servers, &pool, config, seed),
     }
     .with_tree_shape(shape_from(flags))
     .with_knowledge(knowledge_from(flags));
@@ -604,6 +601,9 @@ fn cmd_trace(flags: HashMap<String, String>) {
             eprintln!("--pair must be two comma-separated host indices");
             usage()
         });
+    if a == b {
+        reject("a pair needs two distinct hosts");
+    }
     let study = BandwidthStudy::default_study(seed);
     let hosts = study.hosts();
     let Some(trace) = study.trace(a, b) else {
@@ -648,8 +648,8 @@ fn cmd_plan(flags: HashMap<String, String>) {
         }
     };
     let tree = CombinationTree::complete_binary(servers).unwrap_or_else(|e| reject(&e.to_string()));
-    let study = BandwidthStudy::default_study(seed);
-    let exp = Experiment::from_study(servers, &study, SimDuration::from_hours(24), config, seed);
+    let pool = BandwidthStudy::default_study(seed).noon_trace_pool(SimDuration::from_hours(24));
+    let exp = Experiment::from_study_pool(servers, &pool, config, seed);
     let roster = HostRoster::one_host_per_server(servers);
     let model = CostModel::paper_defaults();
     let view = exp.links().oracle_at(SimTime::ZERO);

@@ -108,6 +108,10 @@ fn inputs_no_run_can_take_exit_2_with_the_reason() {
             &["trace", "--window-hours", "0"],
             "--window-hours must be at least 1",
         ),
+        (
+            &["trace", "--pair", "3,3"],
+            "a pair needs two distinct hosts",
+        ),
         // Oversized worlds are refused before their link table is built.
         (
             &["run", "--servers", "100000", "--images", "1"],

@@ -17,16 +17,15 @@ fn mid_world(seed: u64) -> Experiment {
         SimDuration::from_hours(8),
         seed,
     );
-    Experiment::from_study(8, &study, SimDuration::from_hours(6), 0, seed).with_workload(
-        WorkloadParams {
-            images_per_server: 20,
-            sizes: SizeDistribution {
-                mean_bytes: 32.0 * 1024.0,
-                rel_std_dev: 0.25,
-                aspect: 4.0 / 3.0,
-            },
+    let pool = study.noon_trace_pool(SimDuration::from_hours(6));
+    Experiment::from_study_pool(8, &pool, 0, seed).with_workload(WorkloadParams {
+        images_per_server: 20,
+        sizes: SizeDistribution {
+            mean_bytes: 32.0 * 1024.0,
+            rel_std_dev: 0.25,
+            aspect: 4.0 / 3.0,
         },
-    )
+    })
 }
 
 const ALL_ALGORITHMS: [Algorithm; 4] = [

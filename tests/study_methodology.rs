@@ -25,9 +25,10 @@ fn study_speedups_are_finite_and_positive() {
 fn configurations_differ_but_are_reproducible() {
     let study = BandwidthStudy::default_study(5);
     let window = SimDuration::from_hours(2);
-    let a0 = Experiment::from_study(4, &study, window, 0, 5);
-    let a0_again = Experiment::from_study(4, &study, window, 0, 5);
-    let a1 = Experiment::from_study(4, &study, window, 1, 5);
+    let pool = study.noon_trace_pool(window);
+    let a0 = Experiment::from_study_pool(4, &pool, 0, 5);
+    let a0_again = Experiment::from_study_pool(4, &study.noon_trace_pool(window), 0, 5);
+    let a1 = Experiment::from_study_pool(4, &pool, 1, 5);
 
     let probe = |e: &Experiment| -> Vec<f64> {
         let mut v = Vec::new();
