@@ -25,6 +25,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use wadc_bench::json::Json;
+use wadc_bench::{flag_value, reject};
 use wadc_core::algorithms::one_shot::Objective;
 use wadc_core::engine::{Algorithm, EngineConfig};
 use wadc_core::experiment::Experiment;
@@ -44,8 +45,9 @@ struct Args {
     json: Option<PathBuf>,
 }
 
-/// Parses `std::env::args`; exits 2 with the reason on `--configs 0` or a
-/// `--which` that is neither `all` nor one of `known`.
+/// Parses `std::env::args`; exits 2 with the reason on an unknown flag, a
+/// missing or malformed value, `--configs 0` or a `--which` that is
+/// neither `all` nor one of `known`.
 fn parse_args(known: &[&str]) -> Args {
     let mut args = Args {
         which: "all".to_string(),
@@ -55,26 +57,23 @@ fn parse_args(known: &[&str]) -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
         match flag.as_str() {
-            "--which" => args.which = value("--which"),
-            "--configs" => args.configs = value("--configs").parse().expect("integer"),
-            "--seed" => args.seed = value("--seed").parse().expect("integer"),
-            "--json" => args.json = Some(PathBuf::from(value("--json"))),
-            other => panic!("unknown flag {other}"),
+            "--which" => args.which = flag_value(&mut it, &flag),
+            "--configs" => args.configs = flag_value(&mut it, &flag),
+            "--seed" => args.seed = flag_value(&mut it, &flag),
+            "--json" => args.json = Some(flag_value(&mut it, &flag)),
+            other => reject(&format!(
+                "unknown flag {other}; known: --which --configs --seed --json"
+            )),
         }
     }
     wadc_bench::require_configs(args.configs);
     if args.which != "all" && !known.contains(&args.which.as_str()) {
-        eprintln!(
-            "error: --which {} names no ablation; known: all, {}",
+        reject(&format!(
+            "--which {} names no ablation; known: all, {}",
             args.which,
             known.join(", ")
-        );
-        std::process::exit(2);
+        ));
     }
     args
 }

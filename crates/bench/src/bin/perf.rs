@@ -33,6 +33,7 @@ use std::time::Instant;
 
 use wadc_bench::alloc::{AllocScope, AllocStats, CountingAlloc};
 use wadc_bench::json::Json;
+use wadc_bench::{flag_value, reject};
 use wadc_core::algorithms::one_shot_placement;
 use wadc_core::knowledge::KnowledgeMode;
 use wadc_core::study::{run_study, run_study_parallel, StudyParams};
@@ -104,7 +105,8 @@ struct Args {
     alloc_gate: bool,
 }
 
-/// Parses `std::env::args`; exits 2 with the reason on `--reps 0`.
+/// Parses `std::env::args`; exits 2 with the reason on an unknown flag, a
+/// missing or malformed value, or `--reps 0`.
 fn parse_args() -> Args {
     let mut args = Args {
         quick: false,
@@ -115,24 +117,19 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
         match flag.as_str() {
             "--quick" => args.quick = true,
             "--alloc-gate" => args.alloc_gate = true,
-            "--reps" => args.reps = value("--reps").parse().expect("integer"),
-            "--seed" => args.seed = value("--seed").parse().expect("integer"),
-            "--json" => args.json = PathBuf::from(value("--json")),
-            other => {
-                panic!("unknown flag {other}; known: --quick --reps --seed --json --alloc-gate")
-            }
+            "--reps" => args.reps = flag_value(&mut it, &flag),
+            "--seed" => args.seed = flag_value(&mut it, &flag),
+            "--json" => args.json = flag_value(&mut it, &flag),
+            other => reject(&format!(
+                "unknown flag {other}; known: --quick --reps --seed --json --alloc-gate"
+            )),
         }
     }
     if args.reps == 0 {
-        eprintln!("error: --reps must be at least 1: a bench of no repetitions times nothing");
-        std::process::exit(2);
+        reject("--reps must be at least 1: a bench of no repetitions times nothing");
     }
     args
 }

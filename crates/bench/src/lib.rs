@@ -48,11 +48,9 @@ impl FigArgs {
     /// Parses `std::env::args`, with the paper's 300 configurations as the
     /// default. `--threads` is clamped to the machine's available
     /// parallelism (with a warning) — `0` means "all cores". Exits with
-    /// status 2 on `--configs 0` (see [`require_configs`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// status 2 and the reason on an unknown flag, a missing or malformed
+    /// value (see [`flag_value`]) or `--configs 0` (see
+    /// [`require_configs`]).
     pub fn parse() -> Self {
         let mut args = FigArgs {
             configs: 300,
@@ -62,16 +60,14 @@ impl FigArgs {
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .unwrap_or_else(|| panic!("{name} requires a value"))
-            };
             match flag.as_str() {
-                "--configs" => args.configs = value("--configs").parse().expect("integer"),
-                "--threads" => args.threads = value("--threads").parse().expect("integer"),
-                "--seed" => args.seed = value("--seed").parse().expect("integer"),
-                "--json" => args.json = Some(PathBuf::from(value("--json"))),
-                other => panic!("unknown flag {other}; known: --configs --threads --seed --json"),
+                "--configs" => args.configs = flag_value(&mut it, &flag),
+                "--threads" => args.threads = flag_value(&mut it, &flag),
+                "--seed" => args.seed = flag_value(&mut it, &flag),
+                "--json" => args.json = Some(flag_value(&mut it, &flag)),
+                other => reject(&format!(
+                    "unknown flag {other}; known: --configs --threads --seed --json"
+                )),
             }
         }
         require_configs(args.configs);
@@ -93,15 +89,30 @@ impl FigArgs {
     }
 }
 
+/// Prints `error: {reason}` on standard error and exits with status 2,
+/// before any work.
+pub fn reject(reason: &str) -> ! {
+    eprintln!("error: {reason}");
+    std::process::exit(2)
+}
+
+/// Takes the value following `flag` from `args` and parses it; exits via
+/// [`reject`] when the value is missing or does not parse.
+pub fn flag_value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let Some(value) = args.next() else {
+        reject(&format!("{flag} requires a value"))
+    };
+    value
+        .parse()
+        .unwrap_or_else(|_| reject(&format!("invalid value for {flag}: {value}")))
+}
+
 /// Exits with status 2 and the reason on standard error when `configs` is
 /// zero, before any work: a study of no configurations has no speedup to
 /// report, and its means would print as NaN.
 pub fn require_configs(configs: usize) {
     if configs == 0 {
-        eprintln!(
-            "error: --configs must be at least 1: a study of no configurations compares nothing"
-        );
-        std::process::exit(2);
+        reject("--configs must be at least 1: a study of no configurations compares nothing");
     }
 }
 

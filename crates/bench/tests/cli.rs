@@ -1,7 +1,8 @@
 //! The bench binaries refuse input they would otherwise drop: they exit 2
 //! with the reason on standard error before any work, instead of printing
 //! NaN means, a "best" setting chosen from nothing, an empty archive or a
-//! repetition count other than the one asked for.
+//! repetition count other than the one asked for; and a malformed flag
+//! exits 2 with its name rather than panicking with a backtrace.
 
 use std::process::Command;
 
@@ -68,4 +69,37 @@ fn perf_rejects_zero_reps() {
         &["--reps", "0", "--quick", "--json", archive],
         "--reps must be at least 1",
     );
+}
+
+#[test]
+fn malformed_flags_exit_2_instead_of_panicking() {
+    for (bin, args, reason) in [
+        (
+            env!("CARGO_BIN_EXE_fig6"),
+            &["--configs", "abc"][..],
+            "invalid value for --configs: abc",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig6"),
+            &["--bogus"],
+            "unknown flag --bogus; known: --configs --threads --seed --json",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablations"),
+            &["--configs"],
+            "--configs requires a value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_perf"),
+            &["--reps", "x"],
+            "invalid value for --reps: x",
+        ),
+        (
+            env!("CARGO_BIN_EXE_chaos"),
+            &["--threads"],
+            "--threads requires a value",
+        ),
+    ] {
+        assert_rejected(bin, args, reason);
+    }
 }

@@ -175,7 +175,8 @@ impl Experiment {
             .collect()
     }
 
-    fn quick_workload() -> WorkloadParams {
+    /// The quick constructors' workload: 8 images of ~16 KB per server.
+    pub fn quick_workload() -> WorkloadParams {
         WorkloadParams {
             images_per_server: 8,
             sizes: SizeDistribution {

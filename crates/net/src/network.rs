@@ -21,6 +21,7 @@ use wadc_obs::metrics::SeriesKind;
 use wadc_obs::recorder::{
     Obs, SeriesId, SeriesName, SpanArgs, SpanId, SpanKind, TrackId, TrackName,
 };
+use wadc_obs::report::fmt_bytes;
 use wadc_plan::ids::HostId;
 use wadc_sim::resource::Priority;
 use wadc_sim::time::{SimDuration, SimTime};
@@ -255,17 +256,6 @@ impl NetStats {
     }
 }
 
-fn fmt_bytes(b: u64) -> String {
-    let b = b as f64;
-    if b >= 1024.0 * 1024.0 {
-        format!("{:.1} MB", b / (1024.0 * 1024.0))
-    } else if b >= 1024.0 {
-        format!("{:.1} KB", b / 1024.0)
-    } else {
-        format!("{b:.0} B")
-    }
-}
-
 impl fmt::Display for NetStats {
     /// A multi-line human-readable summary: aggregate counters, a
     /// per-traffic-class breakdown, and (only when present) loss and
@@ -275,9 +265,9 @@ impl fmt::Display for NetStats {
             f,
             "network: {} transfers submitted ({}), {} delivered ({}), {} high-priority",
             self.submitted,
-            fmt_bytes(self.bytes_submitted),
+            fmt_bytes(self.bytes_submitted as f64),
             self.completed,
-            fmt_bytes(self.bytes_delivered),
+            fmt_bytes(self.bytes_delivered as f64),
             self.high_priority_completed,
         )?;
         for kind in TrafficKind::ALL {
@@ -290,9 +280,9 @@ impl fmt::Display for NetStats {
                 "  {:<7}: {} msgs ({}) submitted, {} msgs ({}) delivered",
                 kind.label(),
                 k.submitted,
-                fmt_bytes(k.bytes_submitted),
+                fmt_bytes(k.bytes_submitted as f64),
                 k.delivered,
-                fmt_bytes(k.bytes_delivered),
+                fmt_bytes(k.bytes_delivered as f64),
             )?;
         }
         if self.dropped > 0 {
@@ -305,7 +295,7 @@ impl fmt::Display for NetStats {
                 "losses by class: {} ({} total, {})",
                 by_class.join(" | "),
                 self.dropped,
-                fmt_bytes(self.bytes_dropped),
+                fmt_bytes(self.bytes_dropped as f64),
             )?;
         }
         if self.crash_dropped > 0 {
@@ -316,7 +306,7 @@ impl fmt::Display for NetStats {
                 f,
                 "retransmits: {} ({})",
                 self.retransmits,
-                fmt_bytes(self.bytes_retransmitted),
+                fmt_bytes(self.bytes_retransmitted as f64),
             )?;
         }
         Ok(())

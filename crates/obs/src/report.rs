@@ -13,7 +13,9 @@ use wadc_sim::time::SimTime;
 use crate::recorder::{SeriesName, SpanKind};
 use crate::tracer::{Entry, Tracer};
 
-fn fmt_bytes(b: f64) -> String {
+/// Formats a byte count as `B`, `KB` or `MB` (binary multiples, one
+/// decimal above a kilobyte).
+pub fn fmt_bytes(b: f64) -> String {
     if b >= 1024.0 * 1024.0 {
         format!("{:.1} MB", b / (1024.0 * 1024.0))
     } else if b >= 1024.0 {

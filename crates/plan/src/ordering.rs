@@ -12,9 +12,9 @@
 //! and both.
 
 use crate::bandwidth::BandwidthView;
-use crate::ids::HostId;
+use crate::ids::{HostId, NodeId};
 use crate::placement::HostRoster;
-use crate::tree::{CombinationTree, TreeError};
+use crate::tree::{Builder, CombinationTree, TreeError, TreeShape};
 
 /// Builds a binary combination tree over the roster's servers by greedy
 /// bandwidth-aware pairing: at every step, the two clusters whose
@@ -52,10 +52,8 @@ pub fn bandwidth_aware_binary(
         return Err(TreeError::TooFewServers);
     }
 
-    // Cluster = (representative host, ordered server list). Pairing order
-    // determines the nesting; we rebuild a tree from the nesting via the
-    // standard builder on a permutation... The CombinationTree builders
-    // pair adjacent servers; instead we construct the pairing explicitly.
+    // Cluster = (representative host, nesting of its servers). Pairing
+    // order determines the nesting, which the tree builder then assembles.
     #[derive(Clone)]
     struct Cluster {
         rep: HostId,
@@ -104,105 +102,25 @@ pub fn bandwidth_aware_binary(
         });
     }
 
-    // Re-express the nesting as a CombinationTree by building it directly.
-    fn build(merge: &Merge, b: &mut TreeAssembler) -> usize {
+    fn build(merge: &Merge, b: &mut Builder) -> NodeId {
         match merge {
-            Merge::Leaf(s) => b.leaf(*s),
+            Merge::Leaf(s) => b.server(*s),
             Merge::Node(l, r) => {
                 let left = build(l, b);
                 let right = build(r, b);
-                b.node(left, right)
+                b.operator(left, right)
             }
         }
     }
-    let mut asm = TreeAssembler::new(n);
-    let top = build(&clusters[0].merge, &mut asm);
-    Ok(asm.finish(top))
-}
-
-/// Assembles a [`CombinationTree`] from an arbitrary binary nesting of the
-/// server leaves. This reuses the tree type's invariants (validated via
-/// `check_invariants` in debug builds) while allowing orderings the two
-/// standard builders cannot express.
-struct TreeAssembler {
-    nodes: Vec<crate::tree::TreeNode>,
-    operator_nodes: Vec<crate::ids::NodeId>,
-    server_nodes: Vec<crate::ids::NodeId>,
-}
-
-impl TreeAssembler {
-    fn new(n_servers: usize) -> Self {
-        TreeAssembler {
-            nodes: Vec::with_capacity(2 * n_servers),
-            operator_nodes: Vec::new(),
-            server_nodes: vec![crate::ids::NodeId::new(0); n_servers],
-        }
-    }
-
-    fn push(&mut self, node: crate::tree::TreeNode) -> usize {
-        self.nodes.push(node);
-        self.nodes.len() - 1
-    }
-
-    fn leaf(&mut self, server: usize) -> usize {
-        let idx = self.push(crate::tree::TreeNode {
-            kind: crate::tree::NodeKind::Server(server),
-            parent: None,
-            children: Vec::new(),
-            level: 0,
-        });
-        self.server_nodes[server] = crate::ids::NodeId::new(idx);
-        idx
-    }
-
-    fn node(&mut self, left: usize, right: usize) -> usize {
-        let level = [left, right]
-            .iter()
-            .map(|&c| match self.nodes[c].kind {
-                crate::tree::NodeKind::Server(_) => 0,
-                _ => self.nodes[c].level + 1,
-            })
-            .max()
-            .expect("two children");
-        let op = crate::ids::OperatorId::new(self.operator_nodes.len());
-        let idx = self.push(crate::tree::TreeNode {
-            kind: crate::tree::NodeKind::Operator(op),
-            parent: None,
-            children: vec![
-                crate::ids::NodeId::new(left),
-                crate::ids::NodeId::new(right),
-            ],
-            level,
-        });
-        self.operator_nodes.push(crate::ids::NodeId::new(idx));
-        self.nodes[left].parent = Some(crate::ids::NodeId::new(idx));
-        self.nodes[right].parent = Some(crate::ids::NodeId::new(idx));
-        idx
-    }
-
-    fn finish(mut self, top: usize) -> CombinationTree {
-        let level = self.nodes[top].level + 1;
-        let root = self.push(crate::tree::TreeNode {
-            kind: crate::tree::NodeKind::Client,
-            parent: None,
-            children: vec![crate::ids::NodeId::new(top)],
-            level,
-        });
-        self.nodes[top].parent = Some(crate::ids::NodeId::new(root));
-        CombinationTree::from_parts(
-            self.nodes,
-            crate::ids::NodeId::new(root),
-            self.operator_nodes,
-            self.server_nodes,
-        )
-    }
+    let mut b = Builder::new(n);
+    let top = build(&clusters[0].merge, &mut b);
+    Ok(b.finish(top, TreeShape::Custom))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bandwidth::BwMatrix;
-    use crate::ids::NodeId;
     use crate::tree::NodeKind;
 
     fn h(i: usize) -> HostId {

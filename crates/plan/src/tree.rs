@@ -278,42 +278,21 @@ impl CombinationTree {
     }
 }
 
-impl CombinationTree {
-    /// Assembles a tree from raw parts (used by custom-ordering
-    /// constructors in [`crate::ordering`]). The result has shape
-    /// [`TreeShape::Custom`].
-    pub(crate) fn from_parts(
-        nodes: Vec<TreeNode>,
-        root: NodeId,
-        operator_nodes: Vec<NodeId>,
-        server_nodes: Vec<NodeId>,
-    ) -> CombinationTree {
-        let tree = CombinationTree {
-            nodes,
-            root,
-            operator_nodes,
-            server_nodes,
-            shape: TreeShape::Custom,
-        };
-        debug_assert_eq!(tree.check_invariants(), Ok(()));
-        tree
-    }
-}
-
-struct Builder {
+/// Assembles a [`CombinationTree`] node by node: the standard shapes in
+/// [`CombinationTree::build`] and any binary nesting of the server leaves,
+/// such as the bandwidth-aware ordering in [`crate::ordering`].
+pub(crate) struct Builder {
     nodes: Vec<TreeNode>,
     operator_nodes: Vec<NodeId>,
     server_nodes: Vec<NodeId>,
-    made_servers: usize,
 }
 
 impl Builder {
-    fn new(n_servers: usize) -> Self {
+    pub(crate) fn new(n_servers: usize) -> Self {
         Builder {
             nodes: Vec::with_capacity(2 * n_servers),
             operator_nodes: Vec::new(),
             server_nodes: vec![NodeId::new(0); n_servers],
-            made_servers: 0,
         }
     }
 
@@ -323,7 +302,7 @@ impl Builder {
         id
     }
 
-    fn server(&mut self, index: usize) -> NodeId {
+    pub(crate) fn server(&mut self, index: usize) -> NodeId {
         let id = self.push(TreeNode {
             kind: NodeKind::Server(index),
             parent: None,
@@ -331,11 +310,10 @@ impl Builder {
             level: 0,
         });
         self.server_nodes[index] = id;
-        self.made_servers += 1;
         id
     }
 
-    fn operator(&mut self, left: NodeId, right: NodeId) -> NodeId {
+    pub(crate) fn operator(&mut self, left: NodeId, right: NodeId) -> NodeId {
         let level = [left, right]
             .iter()
             .map(|&c| match self.nodes[c.index()].kind {
@@ -368,7 +346,7 @@ impl Builder {
         self.operator(left, right)
     }
 
-    fn finish(mut self, top: NodeId, shape: TreeShape) -> CombinationTree {
+    pub(crate) fn finish(mut self, top: NodeId, shape: TreeShape) -> CombinationTree {
         let level = self.nodes[top.index()].level + 1;
         let root = self.push(TreeNode {
             kind: NodeKind::Client,

@@ -25,8 +25,7 @@ use wadc_plan::ids::HostId;
 use wadc_sim::rng::{derive_seed2, Rng64};
 use wadc_sim::time::{SimDuration, SimTime};
 
-use crate::determinism::RunDigests;
-use crate::invariants::check_run;
+use crate::determinism::check_conformance;
 
 /// Seed stream for soak plan generation (disjoint from the engine's
 /// streams, which derive from the *run* seed, not the soak seed).
@@ -190,33 +189,8 @@ fn run_soak_cell(
         Experiment::quick(n_servers, seed)
     };
     exp.template_mut().faults = plan.clone();
-    exp.template_mut().algorithm = algorithm;
-    let cfg = exp.template().clone();
-    let first = exp.run(algorithm);
-    let second = exp.run(algorithm);
-    let digests = RunDigests::of(&first);
-    if digests != RunDigests::of(&second) {
-        return Err(format!(
-            "identical (seed, config, plan) diverged: first {digests}, second {}",
-            RunDigests::of(&second)
-        ));
-    }
-    let violations = check_run(&cfg, &first);
-    if !violations.is_empty() {
-        return Err(format!(
-            "{} invariant violation(s):\n{}",
-            violations.len(),
-            violations
-                .iter()
-                .map(|v| format!("  - {v}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        ));
-    }
-    Ok((
-        first.outcome,
-        digests.result ^ digests.audit.rotate_left(32),
-    ))
+    let (run, digests) = check_conformance(&exp, algorithm)?;
+    Ok((run.outcome, digests.result ^ digests.audit.rotate_left(32)))
 }
 
 /// Runs `n_plans` random fault plans on the sweep driver and tallies the

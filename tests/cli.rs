@@ -5,6 +5,9 @@
 
 use std::process::{Command, Output};
 
+use wadc::core::study::{run_study, StudyParams};
+use wadc::obs::Json;
+
 fn wadc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_wadc"))
         .args(args)
@@ -57,6 +60,9 @@ fn every_subcommand_rejects_flags_it_does_not_take() {
 
 #[test]
 fn inputs_no_run_can_take_exit_2_with_the_reason() {
+    // Should the tracing rows regress, their files land in the temp dir.
+    let trace = std::env::temp_dir().join("wadc-cli-threads-trace.json");
+    let trace = trace.to_str().expect("a UTF-8 temp path");
     for (args, reason) in [
         (&["run", "--servers", "1"][..], "at least two servers"),
         (&["run", "--images", "0"], "zero-image workload"),
@@ -140,9 +146,52 @@ fn inputs_no_run_can_take_exit_2_with_the_reason() {
             &["chaos", "--soak", "3", "--threads", "0"],
             "chaos --soak --threads must be at least 1",
         ),
+        // A traced run records on one thread, so it would ignore --threads.
+        (
+            &["run", "--threads", "2", "--trace-out", trace],
+            "--threads cannot be used with --trace-out or --jsonl-out",
+        ),
+        (
+            &["run", "--jsonl-out", trace, "--threads", "1"],
+            "--threads cannot be used with --trace-out or --jsonl-out",
+        ),
     ] {
         assert_rejected(args, reason);
     }
+}
+
+#[test]
+fn run_config_i_is_configuration_i_of_the_study() {
+    let out = wadc(&[
+        "run",
+        "--servers",
+        "4",
+        "--images",
+        "8",
+        "--config",
+        "2",
+        "--algorithm",
+        "one-shot",
+        "--json",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("run --json prints JSON");
+    let digest = json
+        .get("digest")
+        .and_then(Json::as_str)
+        .expect("the result has a digest");
+
+    let mut params = StudyParams::paper_main(1998);
+    params.n_servers = 4;
+    params.workload.images_per_server = 8;
+    params.n_configs = 3;
+    let study = run_study(&params);
+    // One-shot is the first of the study's algorithms.
+    assert_eq!(digest, study.outcomes[2].results[0].digest_hex());
 }
 
 #[test]

@@ -15,7 +15,7 @@ use wadc::core::sweep::SweepDriver;
 use wadc::net::faults::FaultPlan;
 use wadc::obs::Tracer;
 use wadc::trace::study::BandwidthStudy;
-use wadc::verify::chaos::{run_chaos_suite, run_chaos_suite_sweep};
+use wadc::verify::chaos::run_chaos_suite;
 
 fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -152,8 +152,8 @@ fn observed_sweep_reproduces_unobserved_digests() {
 /// cell for cell.
 #[test]
 fn chaos_matrix_swept_at_four_threads_matches_sequential() {
-    let seq = run_chaos_suite(4, 42).expect("sequential chaos matrix conforms");
-    let par = run_chaos_suite_sweep(4, 42, 4).expect("swept chaos matrix conforms");
+    let seq = run_chaos_suite(4, 42, 1).expect("sequential chaos matrix conforms");
+    let par = run_chaos_suite(4, 42, 4).expect("swept chaos matrix conforms");
     assert_eq!(seq.len(), 36, "the matrix is 9 scenarios x 4 algorithms");
     assert_eq!(seq, par, "swept chaos matrix diverged from sequential");
 }

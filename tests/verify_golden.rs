@@ -4,7 +4,7 @@
 use wadc::core::engine::Algorithm;
 use wadc::core::experiment::Experiment;
 use wadc::sim::time::SimDuration;
-use wadc::verify::determinism::check_determinism;
+use wadc::verify::determinism::check_conformance;
 use wadc::verify::differential::{run_suite, suite_algorithms};
 use wadc::verify::golden;
 use wadc::verify::invariants::assert_clean;
@@ -39,7 +39,7 @@ fn identical_seed_and_config_give_identical_digests() {
             extra_candidates: 1,
         },
     ] {
-        let digests = check_determinism(&exp, algorithm)
+        let (_, digests) = check_conformance(&exp, algorithm)
             .unwrap_or_else(|e| panic!("nondeterministic run: {e}"));
         // A rebuilt experiment with the same (seed, config) also agrees.
         let rebuilt = Experiment::quick(8, 1998).run(algorithm);
