@@ -7,6 +7,7 @@
 //! acknowledged by regenerating the fixture with
 //! `wadc verify --print-golden`.
 
+use wadc_core::engine::config::MobilityMode;
 use wadc_core::engine::{Algorithm, RunResult};
 use wadc_core::experiment::Experiment;
 use wadc_core::knowledge::KnowledgeMode;
@@ -90,11 +91,19 @@ fn host1_crash() -> FaultPlan {
     FaultPlan::none().crash(HostId::new(1), SimTime::from_secs(5))
 }
 
+/// `exp` on mobile objects: a move to a host the code has not yet
+/// visited ships the code package too.
+fn mobile_objects(mut exp: Experiment) -> Experiment {
+    exp.template_mut().mobility = MobilityMode::MobileObjects;
+    exp
+}
+
 /// The pinned scenarios: every placement algorithm on a quick world, one
 /// larger world to exercise a different trace assignment, and one case
 /// per engine path clean monitored runs never take: forecast knowledge,
-/// message loss, failed moves, and crash failover under both on-line
-/// algorithms.
+/// message loss, failed moves, crash failover under both on-line
+/// algorithms, and relocations and a respawn that ship the code package
+/// on mobile objects.
 pub fn golden_cases() -> Vec<GoldenCase> {
     fn quick4() -> Experiment {
         Experiment::quick(4, 11)
@@ -133,6 +142,16 @@ pub fn golden_cases() -> Vec<GoldenCase> {
             "quick4-local-30s-crash",
             || quick4_faulty(23, host1_crash()),
             local(30),
+        ),
+        case(
+            "quick4-global-5s-mobile-objects",
+            || mobile_objects(Experiment::quick(4, 42)),
+            global(5),
+        ),
+        case(
+            "quick4-global-30s-crash-mobile-objects",
+            || mobile_objects(quick4_faulty(12, host1_crash())),
+            global(30),
         ),
     ]
 }
