@@ -2,7 +2,6 @@
 //! the post-detection traffic ban, pruning dead subtrees, and respawning
 //! orphaned operators over the surviving hosts.
 
-use wadc_mobile::state::OperatorState as MobileState;
 use wadc_plan::ids::{HostId, NodeId, OperatorId};
 use wadc_plan::tree::NodeKind;
 use wadc_sim::resource::Priority;
@@ -133,17 +132,9 @@ impl Engine {
     /// buffers at — or retransmits toward — the new site.
     fn start_respawn(&mut self, node: NodeId, op: OperatorId, to: HostId) {
         let client = self.roster.client();
-        let (state, after_iteration, origin) = {
+        let (after_iteration, from) = {
             let rt = &mut self.nodes[node.index()];
-            let state = MobileState {
-                op,
-                last_dispatched: rt.last_dispatched,
-                later_marks: 0,
-                dispatches_this_epoch: 0,
-                consumer_on_cp: false,
-                on_cp: false,
-            };
-            let origin = rt.host;
+            let from = rt.host;
             rt.frozen = true;
             rt.respawning = true;
             rt.host = to;
@@ -153,9 +144,9 @@ impl Engine {
             rt.on_cp = false;
             rt.pending_move = None;
             rt.next_placement = None;
-            (state, rt.last_dispatched, origin)
+            (rt.last_dispatched, from)
         };
-        let plan = self.mobility.plan_respawn(&state, origin, to);
+        let code_bytes = self.code.code_bytes_for_move(to);
         self.send_to_host(
             node,
             client,
@@ -163,7 +154,8 @@ impl Engine {
             Payload::OperatorState {
                 op,
                 after_iteration,
-                plan,
+                from,
+                code_bytes,
                 respawn: true,
             },
             Priority::High,

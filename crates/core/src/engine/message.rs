@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use wadc_app::image::ImageDims;
-use wadc_mobile::protocol::MovePlan;
+use wadc_mobile::STATE_PACKET_BYTES;
 use wadc_monitor::piggyback::Piggyback;
 use wadc_monitor::vector::LocationVector;
 use wadc_plan::ids::{HostId, NodeId, OperatorId};
@@ -107,9 +107,12 @@ pub enum Payload {
         op: OperatorId,
         /// Iteration after which it moved (its light point).
         after_iteration: u32,
-        /// The validated, priced move from the mobility substrate
-        /// (state packet + any code package for a first visit).
-        plan: MovePlan,
+        /// The operator's host before the move (for a respawn, the dead
+        /// host whose operator it replaces).
+        from: HostId,
+        /// Code-package bytes the move carries: nonzero only on a mobile
+        /// object's first visit to the destination.
+        code_bytes: u64,
         /// `true` when this is a crash-failover respawn from origin
         /// images rather than an ordinary relocation: a lost respawn is
         /// re-placed and resent (there is no old host to roll back to).
@@ -166,7 +169,9 @@ impl Message {
             Payload::BarrierCommit { placement, .. } => {
                 placement.operator_count() as u64 * PLACEMENT_ENTRY_BYTES
             }
-            Payload::OperatorState { plan, .. } => operator_state_bytes + plan.wire_bytes(),
+            Payload::OperatorState { code_bytes, .. } => {
+                operator_state_bytes + STATE_PACKET_BYTES + code_bytes
+            }
             // The probe's size is carried in the transfer spec directly;
             // the payload body adds nothing beyond the header.
             Payload::Probe => 0,
@@ -299,29 +304,15 @@ mod tests {
 
     #[test]
     fn operator_state_size_includes_plan_payload() {
-        use wadc_mobile::protocol::{LightPointWitness, MoveProtocol};
-        use wadc_mobile::registry::{CodeRegistry, MobilityMode};
-        use wadc_mobile::state::OperatorState as MobileState;
-
-        let protocol = MoveProtocol::new(CodeRegistry::new(MobilityMode::MobileObjects, 10_000));
-        let plan = protocol
-            .plan_move(
-                &MobileState::initial(OperatorId::new(0)),
-                HostId::new(0),
-                HostId::new(1),
-                LightPointWitness::clean(),
-            )
-            .expect("clean move");
-        let plan_bytes = plan.wire_bytes();
-        assert_eq!(plan_bytes, wadc_mobile::state::ENCODED_LEN as u64 + 10_000);
         let m = base(Payload::OperatorState {
             op: OperatorId::new(0),
             after_iteration: 7,
-            plan,
+            from: HostId::new(0),
+            code_bytes: 10_000,
             respawn: false,
         });
-        assert_eq!(m.wire_bytes(4096), HEADER_BYTES + 4096 + plan_bytes);
-        assert_eq!(m.wire_bytes(1024), HEADER_BYTES + 1024 + plan_bytes);
+        assert_eq!(m.wire_bytes(4096), HEADER_BYTES + 4096 + 34 + 10_000);
+        assert_eq!(m.wire_bytes(1024), HEADER_BYTES + 1024 + 34 + 10_000);
     }
 
     #[test]

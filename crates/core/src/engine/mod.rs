@@ -44,7 +44,6 @@ mod transport;
 use std::sync::Arc;
 
 use wadc_app::workload::Workload;
-use wadc_mobile::protocol::MoveProtocol;
 use wadc_mobile::registry::CodeRegistry;
 use wadc_net::faults::FaultInjector;
 use wadc_net::network::{Network, TransferId};
@@ -167,7 +166,8 @@ pub struct Engine {
     barrier: Barrier,
     local: Local,
     failover: Failover,
-    mobility: MoveProtocol,
+    /// Which hosts hold the operator code, to price each move.
+    code: CodeRegistry,
     relocations: u32,
     planner_runs: u32,
     /// Recycled working buffers for the placement search (dense bandwidth
@@ -259,7 +259,7 @@ impl Engine {
             transport: scratch.transport,
             local: Local::build(&cfg, &tree, scratch.local),
             failover: Failover::default(),
-            mobility: MoveProtocol::new(CodeRegistry::new(cfg.mobility, cfg.code_package_bytes)),
+            code: CodeRegistry::new(cfg.mobility, cfg.code_package_bytes),
             relocations: 0,
             planner_runs: 0,
             search: scratch.search,

@@ -93,7 +93,6 @@ impl Engine {
         }
         // The message is consumed here: take the payload out and recycle
         // the box before handling, so the handlers' sends can reuse it.
-        let src_host = msg.src_host;
         let dst_host = msg.dst_host;
         let payload = std::mem::replace(&mut msg.payload, Payload::Probe);
         self.transport.msgs.release(msg);
@@ -113,17 +112,10 @@ impl Engine {
             Payload::OperatorState {
                 op,
                 after_iteration,
-                plan,
+                from,
                 respawn,
-            } => self.complete_relocation(
-                node,
-                op,
-                after_iteration,
-                src_host,
-                dst_host,
-                &plan,
-                respawn,
-            ),
+                ..
+            } => self.complete_relocation(node, op, after_iteration, from, dst_host, respawn),
             Payload::BarrierAbort { version } => self.handle_barrier_abort(node, version),
             // A probe's only effect is the passive measurement taken when
             // its transfer completed (already recorded in handle_delivery).

@@ -5,47 +5,47 @@
 //! to move operators during computation", provided in 1998 by mobile
 //! object systems (Sumatra, Aglets, Mole, Telescript) or — "for
 //! frequently used servers" — by pre-installing code everywhere and
-//! shipping only control messages. This crate models both substrates:
+//! shipping only control messages. A simulated move needs only its size,
+//! so this crate prices one:
 //!
-//! - [`state::OperatorState`] — the small, checksummed state packet an
-//!   operator ships at a light point,
-//! - [`registry::CodeRegistry`] — code presence per host, under either
-//!   [`registry::MobilityMode`],
-//! - [`protocol::MoveProtocol`] — validates the light-move requirement
-//!   and prices each move (state, plus code on a mobile-object host's
-//!   first visit).
+//! - [`STATE_PACKET_BYTES`] — the framed state every move ships,
+//! - [`registry::CodeRegistry`] — the code package a move must carry
+//!   too, under either [`registry::MobilityMode`].
 //!
 //! The engine consumes this through
-//! [`wadc_core::engine::EngineConfig`]'s mobility settings; the
-//! `ablations` bench quantifies the substrate choice.
+//! [`wadc_core::engine::EngineConfig`]'s mobility settings and enforces
+//! the light-move requirement itself; the `ablations` bench quantifies
+//! the substrate choice.
 //!
 //! [`wadc_core::engine::EngineConfig`]: ../wadc_core/engine/struct.EngineConfig.html
 //!
 //! # Examples
 //!
 //! ```
-//! use wadc_mobile::protocol::{LightPointWitness, MoveProtocol};
 //! use wadc_mobile::registry::{CodeRegistry, MobilityMode};
-//! use wadc_mobile::state::OperatorState;
-//! use wadc_plan::ids::{HostId, OperatorId};
+//! use wadc_mobile::STATE_PACKET_BYTES;
+//! use wadc_plan::ids::HostId;
 //!
-//! let mut protocol = MoveProtocol::new(CodeRegistry::new(MobilityMode::MobileObjects, 24_000));
-//! let state = OperatorState::initial(OperatorId::new(0));
-//! let plan = protocol
-//!     .plan_move(&state, HostId::new(0), HostId::new(1), LightPointWitness::clean())
-//!     .expect("clean light point");
-//! assert_eq!(plan.code_bytes, 24_000); // first visit ships the code
-//! let restored = protocol.complete_move(&plan).expect("valid packet");
-//! assert_eq!(restored, state);
+//! let mut code = CodeRegistry::new(MobilityMode::MobileObjects, 24_000);
+//! let to = HostId::new(1);
+//! // A first visit ships the state and the code package ...
+//! assert_eq!(STATE_PACKET_BYTES + code.code_bytes_for_move(to), 24_034);
+//! code.install(to);
+//! // ... and a later one the state alone.
+//! assert_eq!(STATE_PACKET_BYTES + code.code_bytes_for_move(to), 34);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod protocol;
 pub mod registry;
-pub mod state;
 
-pub use protocol::{LightPointWitness, MoveError, MovePlan, MoveProtocol};
 pub use registry::{CodeRegistry, MobilityMode};
-pub use state::{DecodeError, OperatorState};
+
+/// Wire bytes of the framed state a moving operator ships, on top of the
+/// application's own state and any code package. The frame is a 4-byte
+/// magic and a version byte; then the 8-byte operator id, three 4-byte
+/// counters (the last dispatched iteration, and the local algorithm's
+/// later-producer marks and dispatches this epoch) and one byte of its
+/// critical-path flags; then an 8-byte checksum.
+pub const STATE_PACKET_BYTES: u64 = 4 + 1 + 8 + 3 * 4 + 1 + 8;

@@ -8,8 +8,6 @@
 //! operator's code so a move can be priced: a state-only control message
 //! when the code is already present, code + state otherwise.
 
-use std::collections::HashSet;
-
 use wadc_plan::ids::HostId;
 
 /// Which mobility substrate a deployment uses.
@@ -38,7 +36,6 @@ pub enum MobilityMode {
 ///
 /// let mut reg = CodeRegistry::new(MobilityMode::MobileObjects, 20_000);
 /// let h = HostId::new(3);
-/// assert!(!reg.installed(h));
 /// assert_eq!(reg.code_bytes_for_move(h), 20_000); // first visit ships code
 /// reg.install(h);
 /// assert_eq!(reg.code_bytes_for_move(h), 0); // cached afterwards
@@ -47,7 +44,9 @@ pub enum MobilityMode {
 pub struct CodeRegistry {
     mode: MobilityMode,
     code_package_bytes: u64,
-    installed: HashSet<HostId>,
+    /// Under [`MobilityMode::MobileObjects`], whether the host of each
+    /// index holds the code; grown on the first install.
+    installed: Vec<bool>,
 }
 
 impl CodeRegistry {
@@ -58,43 +57,31 @@ impl CodeRegistry {
         CodeRegistry {
             mode,
             code_package_bytes,
-            installed: HashSet::new(),
-        }
-    }
-
-    /// The substrate mode.
-    pub fn mode(&self) -> MobilityMode {
-        self.mode
-    }
-
-    /// Returns `true` if `host` can run an operator without receiving
-    /// code first.
-    pub fn installed(&self, host: HostId) -> bool {
-        match self.mode {
-            MobilityMode::PreInstalled => true,
-            MobilityMode::MobileObjects => self.installed.contains(&host),
+            installed: Vec::new(),
         }
     }
 
     /// Records that `host` now holds the code package (a completed first
-    /// visit, or an explicit pre-deployment).
+    /// visit). Does nothing under [`MobilityMode::PreInstalled`], where
+    /// every host holds it.
     pub fn install(&mut self, host: HostId) {
-        self.installed.insert(host);
+        if self.mode == MobilityMode::PreInstalled {
+            return;
+        }
+        if self.installed.len() <= host.index() {
+            self.installed.resize(host.index() + 1, false);
+        }
+        self.installed[host.index()] = true;
     }
 
     /// Extra bytes a move to `host` must carry for code.
     pub fn code_bytes_for_move(&self, host: HostId) -> u64 {
-        if self.installed(host) {
-            0
-        } else {
-            self.code_package_bytes
+        match self.mode {
+            MobilityMode::MobileObjects if self.installed.get(host.index()) != Some(&true) => {
+                self.code_package_bytes
+            }
+            _ => 0,
         }
-    }
-
-    /// Number of hosts with explicitly installed code (always empty under
-    /// [`MobilityMode::PreInstalled`], where the count is implicit).
-    pub fn installed_count(&self) -> usize {
-        self.installed.len()
     }
 }
 
@@ -110,7 +97,6 @@ mod tests {
     fn preinstalled_mode_never_ships_code() {
         let reg = CodeRegistry::new(MobilityMode::PreInstalled, 50_000);
         for i in 0..10 {
-            assert!(reg.installed(h(i)));
             assert_eq!(reg.code_bytes_for_move(h(i)), 0);
         }
     }
@@ -126,14 +112,5 @@ mod tests {
             50_000,
             "other hosts unaffected"
         );
-        assert_eq!(reg.installed_count(), 1);
-    }
-
-    #[test]
-    fn install_is_idempotent() {
-        let mut reg = CodeRegistry::new(MobilityMode::MobileObjects, 1);
-        reg.install(h(0));
-        reg.install(h(0));
-        assert_eq!(reg.installed_count(), 1);
     }
 }

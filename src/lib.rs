@@ -18,7 +18,7 @@
 //! | [`monitor`] | passive monitoring, caches, piggybacking, timestamp vectors |
 //! | [`app`] | the satellite-image composition workload |
 //! | [`core`] | the placement algorithms and the adaptive execution engine |
-//! | [`mobile`] | operator-mobility substrate: code registry, state packets, move protocol |
+//! | [`mobile`] | operator-mobility substrate: prices a move (framed state, code on a first visit) |
 //! | [`obs`] | observability: span/event tracing, metrics, trace exporters, run reports |
 //!
 //! # Quickstart
