@@ -10,7 +10,8 @@
 //! wadc study --gauge-analysis [--seed S]
 //! wadc trace [--pair A,B] [--seed S] [--window-hours H]
 //! wadc plan  [--servers N] [--seed S] [--objective critical-path|contended]
-//! wadc verify [--quick] [--seed S] [--threads T] [--print-golden] [--print-golden-topo]
+//! wadc verify [--quick] [--seed S] [--threads T]
+//! wadc verify --print-golden | --print-golden-topo
 //! wadc chaos [--loss P] [--probe-blackhole P] [--move-failure P] [--outages N]
 //!            [--outage-mins M] [--crash-host H] [--crash-at-secs S] [--seed S]
 //! wadc chaos --soak N [--shrink] [--threads T] [--servers N] [--seed S]
@@ -85,6 +86,7 @@ verify check engine conformance: golden digests, determinism, invariants,
        differential and chaos suites
          --quick  --seed S (42)  --print-golden (regenerate the fixture)
          --print-golden-topo (regenerate the topology-backend fixture)
+           (each print flag goes alone)
          --threads T (2, at least 2): sweep-gate and chaos-matrix thread
            count (deliberately not clamped to the core count —
            oversubscribed interleavings are exactly what the gate must
@@ -245,6 +247,25 @@ fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, defaul
     }
 }
 
+/// Reads `key`, a count of `unit`s (default `default`), as one span,
+/// rejecting a count whose span overflows the simulated clock's
+/// microseconds instead of letting it wrap to a short one.
+fn span_flag(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: u64,
+    unit: SimDuration,
+) -> SimDuration {
+    let n = flag(flags, key, default);
+    match n.checked_mul(unit.as_micros()) {
+        Some(micros) => SimDuration::from_micros(micros),
+        None => reject(&format!(
+            "{key} {n} overflows the simulated clock: at most {} fit",
+            u64::MAX / unit.as_micros()
+        )),
+    }
+}
+
 /// Reads `--threads` (defaulting to every available core) and clamps it
 /// to the machine, surfacing the sweep fabric's warning when the request
 /// was adjusted (`--threads 0`, or more threads than cores).
@@ -267,7 +288,7 @@ fn write_or_die(path: &str, bytes: &[u8]) {
 /// Reads `--algorithm` and its parameters, rejecting a parameter the
 /// chosen algorithm would ignore.
 fn algorithm_from(flags: &HashMap<String, String>) -> Algorithm {
-    let period = SimDuration::from_mins(flag(flags, "--period-mins", 10u64));
+    let period = span_flag(flags, "--period-mins", 10, SimDuration::from_mins(1));
     let algorithm = match flags
         .get("--algorithm")
         .map(String::as_str)
@@ -588,11 +609,10 @@ fn cmd_study(flags: HashMap<String, String>) {
 
 fn cmd_trace(flags: HashMap<String, String>) {
     let seed = flag(&flags, "--seed", 1998u64);
-    let hours = flag(&flags, "--window-hours", 12u64);
-    if hours == 0 {
+    let window = span_flag(&flags, "--window-hours", 12, SimDuration::from_hours(1));
+    if window.is_zero() {
         reject("--window-hours must be at least 1: an empty window has no bandwidth to summarise");
     }
-    let window = SimDuration::from_hours(hours);
     let pair = flags
         .get("--pair")
         .map(String::as_str)
@@ -703,6 +723,18 @@ const GOLDEN_FIXTURE: &str = include_str!("../../tests/golden/digests.txt");
 const GOLDEN_FIXTURE_TOPO: &str = include_str!("../../tests/golden/digests_topo.txt");
 
 fn cmd_verify(flags: HashMap<String, String>) {
+    // Printing a fixture runs nothing else, so a print flag takes no
+    // other flag, the other print flag included.
+    for print in ["--print-golden", "--print-golden-topo"] {
+        if !flags.contains_key(print) {
+            continue;
+        }
+        if let Some(other) = flags.keys().filter(|k| k.as_str() != print).min() {
+            reject(&format!(
+                "{print} takes no other flag: {other} would be ignored"
+            ));
+        }
+    }
     // Not resolve_threads: the verify gate *wants* oversubscription (more
     // workers than cores still shuffles completion order), so the flag is
     // taken as given. Below 2 the threads=1 == threads=N gate would
@@ -880,7 +912,7 @@ fn cmd_chaos(flags: HashMap<String, String>) {
     if outages > 0 {
         plan = plan.with_random_outages(
             outages,
-            SimDuration::from_mins(flag(&flags, "--outage-mins", 5u64)),
+            span_flag(&flags, "--outage-mins", 5, SimDuration::from_mins(1)),
             SimDuration::from_hours(1),
         );
     }
@@ -892,7 +924,7 @@ fn cmd_chaos(flags: HashMap<String, String>) {
         });
         plan = plan.crash(
             HostId::new(host),
-            SimTime::from_secs(flag(&flags, "--crash-at-secs", 30u64)),
+            SimTime::ZERO + span_flag(&flags, "--crash-at-secs", 30, SimDuration::from_secs(1)),
         );
     }
     // Eager validation: a plan naming a host outside the roster fails

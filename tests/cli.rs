@@ -146,6 +146,72 @@ fn inputs_no_run_can_take_exit_2_with_the_reason() {
             &["chaos", "--soak", "3", "--threads", "0"],
             "chaos --soak --threads must be at least 1",
         ),
+        // Printing a fixture runs nothing else: any other flag, the
+        // other print flag included, would be ignored.
+        (
+            &["verify", "--print-golden", "--seed", "5"],
+            "--print-golden takes no other flag: --seed would be ignored",
+        ),
+        (
+            &["verify", "--print-golden", "--print-golden-topo"],
+            "--print-golden takes no other flag: --print-golden-topo would be ignored",
+        ),
+        (
+            &["verify", "--print-golden-topo", "--quick"],
+            "--print-golden-topo takes no other flag: --quick would be ignored",
+        ),
+        (
+            &["verify", "--print-golden", "--threads", "1"],
+            "--print-golden takes no other flag: --threads would be ignored",
+        ),
+        // A span too long for the simulated clock's microseconds would
+        // wrap to a short one.
+        (
+            &[
+                "run",
+                "--servers",
+                "4",
+                "--images",
+                "8",
+                "--algorithm",
+                "global",
+                "--period-mins",
+                "307445734562",
+            ],
+            "--period-mins 307445734562 overflows the simulated clock",
+        ),
+        (
+            &[
+                "chaos",
+                "--servers",
+                "4",
+                "--images",
+                "8",
+                "--outages",
+                "2",
+                "--outage-mins",
+                "307445734562",
+            ],
+            "--outage-mins 307445734562 overflows the simulated clock",
+        ),
+        (
+            &[
+                "chaos",
+                "--servers",
+                "4",
+                "--images",
+                "8",
+                "--crash-host",
+                "1",
+                "--crash-at-secs",
+                "18446744073710",
+            ],
+            "--crash-at-secs 18446744073710 overflows the simulated clock",
+        ),
+        (
+            &["trace", "--pair", "0,1", "--window-hours", "5124095577"],
+            "--window-hours 5124095577 overflows the simulated clock",
+        ),
         // A traced run records on one thread, so it would ignore --threads.
         (
             &["run", "--threads", "2", "--trace-out", trace],
