@@ -8,7 +8,7 @@ use wadc_monitor::forecast::Forecaster;
 use wadc_monitor::vector::LocationVector;
 use wadc_net::network::NetScratch;
 use wadc_plan::ids::HostId;
-use wadc_sim::event::{EventId, EventQueue};
+use wadc_sim::event::EventQueue;
 use wadc_sim::time::SimTime;
 
 use super::local::LocalScratch;
@@ -186,7 +186,6 @@ pub struct RunScratch {
     pub(super) reports: Vec<Option<u32>>,
     pub(super) local: LocalScratch,
     pub(super) search: SearchScratch,
-    pub(super) batch: Vec<EventId>,
     pub(super) audit_cap: usize,
 }
 
@@ -227,18 +226,9 @@ pub(super) fn recycle<T>(
 }
 
 impl Engine {
-    /// Tears the engine down into its [`RunScratch`] arena *without*
-    /// running — the world-setup microbench uses this to measure pure
-    /// construction cost on a warm arena, and callers that build an
-    /// engine speculatively can recover its capacity.
-    pub fn into_scratch(self) -> RunScratch {
-        let audit_len = self.audit.len();
-        self.reclaim(audit_len)
-    }
-
     /// Returns retired message boxes to `pool` when an event payload
     /// carries one (pending local deliveries and armed retransmissions).
-    fn harvest_ev(pool: &mut MsgPool, ev: Ev) {
+    pub(super) fn harvest_ev(pool: &mut MsgPool, ev: Ev) {
         match ev {
             Ev::Local(m) | Ev::Retransmit(m) => pool.release(m),
             _ => {}
@@ -246,16 +236,10 @@ impl Engine {
     }
 
     /// Tears the finished engine down into a reusable [`RunScratch`]:
-    /// harvests every message box still held by the queue, the unhandled
-    /// batch remainder, or node replay buffers, and parks every layer's
-    /// recyclable part for the next run.
+    /// harvests every message box still held by the queue or node replay
+    /// buffers, and parks every layer's recyclable part for the next run.
     pub(super) fn reclaim(mut self, audit_len: usize) -> RunScratch {
         let msgs = &mut self.transport.msgs;
-        for id in self.batch.drain(..) {
-            if let Some(ev) = self.queue.claim(id) {
-                Self::harvest_ev(msgs, ev);
-            }
-        }
         while let Some((_, _, ev)) = self.queue.pop() {
             Self::harvest_ev(msgs, ev);
         }
@@ -274,7 +258,6 @@ impl Engine {
             reports: self.barrier.into_slots(),
             local: self.local.scratch,
             search: self.search,
-            batch: self.batch,
             audit_cap: self.audit_cap.max(audit_len),
         }
     }

@@ -5,10 +5,10 @@
 
 use std::sync::Arc;
 
+use wadc_net::network::Priority;
 use wadc_plan::ids::NodeId;
 use wadc_plan::placement::Placement;
 use wadc_plan::tree::NodeKind;
-use wadc_sim::resource::Priority;
 
 use super::config::retry;
 use super::message::Payload;

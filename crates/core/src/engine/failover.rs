@@ -2,9 +2,9 @@
 //! the post-detection traffic ban, pruning dead subtrees, and respawning
 //! orphaned operators over the surviving hosts.
 
+use wadc_net::network::Priority;
 use wadc_plan::ids::{HostId, NodeId, OperatorId};
 use wadc_plan::tree::NodeKind;
-use wadc_sim::resource::Priority;
 
 use super::config::retry;
 use super::message::Payload;

@@ -51,7 +51,7 @@ use wadc_plan::bandwidth::MaskedView;
 use wadc_plan::ids::{HostId, NodeId, OperatorId};
 use wadc_plan::placement::{HostRoster, Placement};
 use wadc_plan::tree::CombinationTree;
-use wadc_sim::event::{EventId, EventQueue};
+use wadc_sim::event::EventQueue;
 use wadc_sim::rng::derive_seed;
 use wadc_sim::stats::Tally;
 use wadc_sim::time::{SimDuration, SimTime};
@@ -178,8 +178,6 @@ pub struct Engine {
     /// High-water audit-log length across the runs this engine's arena
     /// has served, used to pre-size the next run's log.
     audit_cap: usize,
-    /// Reusable buffer for the batched main loop's current event cluster.
-    batch: Vec<EventId>,
     /// The attached recorder and its bookkeeping; `None` unless
     /// [`Engine::attach_obs`] was called. Purely passive — see
     /// `attach_obs` for the neutrality guarantee.
@@ -266,7 +264,6 @@ impl Engine {
             arrivals: Vec::with_capacity(n_iterations as usize),
             audit: AuditLog::with_capacity(scratch.audit_cap),
             audit_cap: scratch.audit_cap,
-            batch: scratch.batch,
             obs: None,
             cfg,
             tree,
@@ -352,32 +349,21 @@ impl Engine {
 
         let cap = SimTime::ZERO + self.cfg.max_sim_time;
         let mut completed = false;
-        // Batched dispatch: drain every event sharing the minimum
-        // timestamp in one heap pass, then claim them in seq order —
-        // bit-identical to the one-at-a-time pop loop (handlers that
-        // cancel a same-timestamp neighbour see the claim return `None`,
-        // exactly as `pop` would never surface a cancelled entry).
-        let mut batch = std::mem::take(&mut self.batch);
-        'run: while let Some(t) = self.queue.pop_batch(&mut batch) {
+        while let Some((t, _, ev)) = self.queue.pop() {
             if t > cap {
+                Self::harvest_ev(&mut self.transport.msgs, ev);
                 break;
             }
-            for &id in &batch {
-                let Some(ev) = self.queue.claim(id) else {
-                    continue;
-                };
-                self.handle(ev);
-                self.obs_sample_tick(t);
-                if self.failover.aborted.is_some() {
-                    break 'run;
-                }
-                if self.arrivals.len() as u32 >= self.n_iterations {
-                    completed = true;
-                    break 'run;
-                }
+            self.handle(ev);
+            self.obs_sample_tick(t);
+            if self.failover.aborted.is_some() {
+                break;
+            }
+            if self.arrivals.len() as u32 >= self.n_iterations {
+                completed = true;
+                break;
             }
         }
-        self.batch = batch;
         self.obs_finish(completed);
 
         let completion_time = self

@@ -3,14 +3,15 @@
 //! demanded; servers read images from disk. Each host serves disk reads
 //! and compositions at two stations.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use wadc_app::compose::{compose_secs, PAPER_SECS_PER_PIXEL};
 use wadc_app::image::ImageDims;
 use wadc_monitor::piggyback;
+use wadc_net::network::Priority;
 use wadc_plan::ids::{HostId, NodeId};
 use wadc_plan::tree::NodeKind;
-use wadc_sim::resource::{Priority, Resource};
 use wadc_sim::time::{SimDuration, SimTime};
 
 use super::arena::{InputSlot, OutputItem};
@@ -34,17 +35,20 @@ pub(super) struct Job {
     duration: SimDuration,
 }
 
-/// A host's disk or CPU: the jobs waiting for it and the one in service.
+/// A host's disk or CPU: the job in service and the jobs waiting for
+/// it, served first come, first served.
 #[derive(Debug, Default)]
 pub(super) struct Station {
-    waiting: Resource<Job>,
+    /// `Some` while the station is busy. It stays `Some` once the host
+    /// crashes, so nothing queued behind it ever starts.
     current: Option<Job>,
+    waiting: VecDeque<Job>,
 }
 
 impl Station {
     pub(super) fn reset(&mut self) {
-        self.waiting.reset();
         self.current = None;
+        self.waiting.clear();
     }
 }
 
@@ -522,8 +526,10 @@ impl Engine {
 
     fn request_job(&mut self, host: HostId, unit: Unit, job: Job) {
         let station = &mut self.hosts[host.index()].stations[unit as usize];
-        if let Some(granted) = station.waiting.request(job, Priority::Normal) {
-            self.start_job(host.index(), unit, granted);
+        if station.current.is_some() {
+            station.waiting.push_back(job);
+        } else {
+            self.start_job(host.index(), unit, job);
         }
     }
 
@@ -538,15 +544,15 @@ impl Engine {
     /// A station finished its job: the node holds the output (and may
     /// dispatch it), and the next waiting job starts.
     pub(super) fn handle_job_done(&mut self, host: usize, unit: Unit) {
+        // Dead silicon: a crashed host finishes nothing, and its station
+        // stays occupied, so its queued jobs never start.
+        if self.host_down(HostId::new(host)) {
+            return;
+        }
         let job = self.hosts[host].stations[unit as usize]
             .current
             .take()
             .expect("completion without a job");
-        // Dead silicon: a crashed host finishes nothing, and its queued
-        // jobs never start.
-        if self.host_down(HostId::new(host)) {
-            return;
-        }
         if !self.nodes[job.node.index()].pruned {
             // Under faults a not-yet-replayed restored output may still be
             // held; the fresh result wins (newer data supersedes a replay).
@@ -559,8 +565,90 @@ impl Engine {
             });
             self.try_dispatch(job.node);
         }
-        if let Some(next) = self.hosts[host].stations[unit as usize].waiting.release() {
+        if let Some(next) = self.hosts[host].stations[unit as usize].waiting.pop_front() {
             self.start_job(host, unit, next);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use wadc_app::image::ImageDims;
+    use wadc_sim::time::SimDuration;
+
+    use super::super::{Algorithm, Engine, RunScratch};
+    use super::{Job, Unit};
+    use crate::experiment::Experiment;
+
+    /// An unrun quick world and its first server's host.
+    fn world() -> (Engine, usize) {
+        let engine =
+            Experiment::quick(4, 42).engine_scratch(Algorithm::DownloadAll, RunScratch::new());
+        let host = engine.roster.server_host(0).index();
+        (engine, host)
+    }
+
+    /// Queues a one-second read of `iteration` at the first server's disk.
+    fn request_read(engine: &mut Engine, iteration: u32) {
+        let job = Job {
+            node: engine.tree.server_nodes()[0],
+            iteration,
+            dims: ImageDims::new(8, 8),
+            duration: SimDuration::from_secs(1),
+        };
+        let host = engine.roster.server_host(0);
+        engine.request_job(host, Unit::Disk, job);
+    }
+
+    /// Completes the read in service; returns the iteration it produced.
+    fn finish_read(engine: &mut Engine, host: usize) -> Option<u32> {
+        engine.handle_job_done(host, Unit::Disk);
+        let server = engine.tree.server_nodes()[0];
+        engine.nodes[server.index()]
+            .output
+            .take()
+            .map(|o| o.iteration)
+    }
+
+    fn in_service(engine: &Engine, host: usize) -> Option<u32> {
+        engine.hosts[host].stations[Unit::Disk as usize]
+            .current
+            .map(|j| j.iteration)
+    }
+
+    fn waiting(engine: &Engine, host: usize) -> Vec<u32> {
+        let station = &engine.hosts[host].stations[Unit::Disk as usize];
+        station.waiting.iter().map(|j| j.iteration).collect()
+    }
+
+    #[test]
+    fn a_station_serves_its_jobs_first_come_first_served() {
+        let (mut engine, host) = world();
+        for iteration in 1..=3 {
+            request_read(&mut engine, iteration);
+        }
+        assert_eq!(in_service(&engine, host), Some(1));
+        assert_eq!(waiting(&engine, host), [2, 3]);
+        for iteration in 1..=3 {
+            assert_eq!(finish_read(&mut engine, host), Some(iteration));
+        }
+        assert_eq!(in_service(&engine, host), None);
+        assert!(waiting(&engine, host).is_empty());
+    }
+
+    #[test]
+    fn a_crashed_hosts_station_stays_occupied_and_its_queue_never_starts() {
+        let (mut engine, host) = world();
+        request_read(&mut engine, 1);
+        request_read(&mut engine, 2);
+        engine.hosts[host].declared_dead = true;
+        let scheduled = engine.queue.len();
+        assert_eq!(finish_read(&mut engine, host), None);
+        // Nothing finished and nothing started: the read stays in
+        // service, so a later request queues behind it too.
+        assert_eq!(in_service(&engine, host), Some(1));
+        request_read(&mut engine, 3);
+        assert_eq!(waiting(&engine, host), [2, 3]);
+        assert_eq!(engine.queue.len(), scheduled, "no job started");
     }
 }

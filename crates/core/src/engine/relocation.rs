@@ -2,8 +2,8 @@
 //! its arrival (an ordinary move or a crash-failover respawn), and the
 //! rollback of a move whose packet was lost.
 
+use wadc_net::network::Priority;
 use wadc_plan::ids::{HostId, NodeId, OperatorId};
-use wadc_sim::resource::Priority;
 
 use super::message::Payload;
 use super::{AuditEvent, Engine};

@@ -8,11 +8,10 @@ use wadc_monitor::daemon::ProbeScheduler;
 use wadc_monitor::gauge::Gauge;
 use wadc_monitor::piggyback;
 use wadc_net::faults::TrafficKind;
-use wadc_net::network::{StartedTransfer, TransferId, TransferSpec};
+use wadc_net::network::{Priority, StartedTransfer, TransferId, TransferSpec};
 use wadc_obs::recorder::{EventArgs, EventKind, TrackName};
 use wadc_plan::ids::{HostId, NodeId};
 use wadc_sim::event::EventId;
-use wadc_sim::resource::Priority;
 use wadc_sim::rng::derive_seed;
 use wadc_sim::time::SimTime;
 

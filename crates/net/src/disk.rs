@@ -2,8 +2,8 @@
 //!
 //! The paper's simulation "includes ... retrieval of images from disk" with
 //! "the disk bandwidth set to 3MB/s". Disks are sequential: one read at a
-//! time per host (the engine queues reads on a
-//! [`wadc_sim::resource::Resource`]).
+//! time per host, the rest waiting first-come-first-served in the
+//! engine's per-host disk station.
 
 use wadc_sim::time::SimDuration;
 

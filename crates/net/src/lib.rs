@@ -46,7 +46,7 @@ pub mod topo;
 pub use disk::DiskModel;
 pub use faults::{FaultInjector, FaultPlan, HostBlackout, LinkOutage, TrafficKind};
 pub use network::{
-    Delivery, KindStats, NetStats, Network, NetworkParams, StartedTransfer, TransferId,
+    Delivery, KindStats, NetStats, Network, NetworkParams, Priority, StartedTransfer, TransferId,
     TransferSpec,
 };
 pub use topo::{expand_backbone_outage, TopoModel};

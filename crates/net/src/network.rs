@@ -23,7 +23,6 @@ use wadc_obs::recorder::{
 };
 use wadc_obs::report::fmt_bytes;
 use wadc_plan::ids::HostId;
-use wadc_sim::resource::Priority;
 use wadc_sim::time::{SimDuration, SimTime};
 
 use wadc_trace::model::TraceCursor;
@@ -93,6 +92,18 @@ impl Default for NetworkParams {
     fn default() -> Self {
         NetworkParams::paper_defaults()
     }
+}
+
+/// Queueing class of a transfer. The paper distinguishes two: "if
+/// multiple messages are enqueued, barrier messages get priority".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Priority {
+    /// Bulk data transfers and ordinary traffic.
+    Normal,
+    /// Control traffic: barrier messages, iteration reports, relocation
+    /// directives. Overtakes queued normal transfers without preempting
+    /// one in progress.
+    High,
 }
 
 /// What to transfer.
@@ -319,9 +330,8 @@ impl fmt::Display for NetStats {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use wadc_net::network::{Network, NetworkParams, TransferSpec};
+/// use wadc_net::network::{Network, NetworkParams, Priority, TransferSpec};
 /// use wadc_plan::ids::HostId;
-/// use wadc_sim::resource::Priority;
 /// use wadc_sim::time::SimTime;
 /// use wadc_topo::graph::Topology;
 /// use wadc_topo::link::LinkTable;

@@ -398,8 +398,8 @@ impl TopoModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::Priority;
     use std::sync::Arc;
-    use wadc_sim::resource::Priority;
     use wadc_sim::time::SimDuration;
     use wadc_topo::graph::TopologyBuilder;
     use wadc_topo::link::LinkTable;

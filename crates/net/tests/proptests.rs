@@ -6,9 +6,8 @@
 use std::sync::Arc;
 
 use wadc_net::faults::TrafficKind;
-use wadc_net::network::{Network, NetworkParams, StartedTransfer, TransferSpec};
+use wadc_net::network::{Network, NetworkParams, Priority, StartedTransfer, TransferSpec};
 use wadc_plan::ids::HostId;
-use wadc_sim::resource::Priority;
 use wadc_sim::rng::{derive_seed2, Rng64};
 use wadc_sim::time::SimTime;
 use wadc_topo::graph::Topology;

@@ -43,10 +43,6 @@ impl EventId {
 /// pop-heavy workload of a DES kernel.
 const D: usize = 4;
 
-/// Sentinel heap position marking a slot extracted by
-/// [`EventQueue::pop_batch`] and awaiting its [`EventQueue::claim`].
-const BATCH_POS: u32 = u32::MAX;
-
 /// A slab entry. `payload: None` marks a free slot (its index is on the
 /// free list and `seq`/`pos` are stale).
 #[derive(Debug)]
@@ -81,16 +77,6 @@ pub struct EventQueue<E> {
     next_seq: u64,
     now: SimTime,
     high_water: usize,
-    /// Entries extracted by [`EventQueue::pop_batch`] whose payloads the
-    /// caller has not yet [`EventQueue::claim`]ed. They are out of the
-    /// heap but still logically pending, so [`EventQueue::len`] (and the
-    /// high-water accounting in `schedule`) includes them — a batched
-    /// drain reports exactly the depths a pop-at-a-time drain would.
-    batch_pending: usize,
-    /// Scratch: heap positions of the current minimum-time cluster.
-    batch_pos: Vec<u32>,
-    /// Scratch: `(seq, slot)` pairs of the cluster, sorted for emission.
-    batch_ent: Vec<(u64, u32)>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -109,9 +95,6 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             now: SimTime::ZERO,
             high_water: 0,
-            batch_pending: 0,
-            batch_pos: Vec::new(),
-            batch_ent: Vec::new(),
         }
     }
 
@@ -121,9 +104,8 @@ impl<E> EventQueue<E> {
     /// `EventQueue::new()` to any caller (same ids, same order, same
     /// high-water), so run arenas can recycle queues between runs.
     ///
-    /// Payloads still scheduled (or extracted by [`EventQueue::pop_batch`]
-    /// but unclaimed) are dropped; callers that pool payload boxes should
-    /// drain the queue first.
+    /// Payloads still scheduled are dropped; callers that pool payload
+    /// boxes should drain the queue first.
     pub fn reset(&mut self) {
         self.heap.clear();
         self.slots.clear();
@@ -131,9 +113,6 @@ impl<E> EventQueue<E> {
         self.next_seq = 0;
         self.now = SimTime::ZERO;
         self.high_water = 0;
-        self.batch_pending = 0;
-        self.batch_pos.clear();
-        self.batch_ent.clear();
     }
 
     /// Current simulated time: the timestamp of the most recently popped
@@ -142,12 +121,9 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of live (not cancelled) events still scheduled, including
-    /// any extracted by [`EventQueue::pop_batch`] but not yet claimed —
-    /// those are exactly the events a pop-at-a-time caller would still
-    /// have in the queue.
+    /// Number of live (not cancelled) events still scheduled.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.batch_pending
+        self.heap.len()
     }
 
     /// Returns `true` if no live events remain.
@@ -252,7 +228,7 @@ impl<E> EventQueue<E> {
             }
         };
         self.heap.push(slot);
-        self.high_water = self.high_water.max(self.heap.len() + self.batch_pending);
+        self.high_water = self.high_water.max(self.heap.len());
         self.sift_up(self.heap.len() - 1);
         EventId { seq, slot }
     }
@@ -277,16 +253,6 @@ impl<E> EventQueue<E> {
             // event already fired or was already cancelled.
             Some(s) if s.payload.is_some() && s.seq == id.seq => {}
             _ => return false,
-        }
-        if self.slots[id.slot as usize].pos == BATCH_POS {
-            // Extracted by `pop_batch` but not yet claimed: a pop-at-a-time
-            // caller would still have it in the queue, so cancelling it
-            // must succeed — the pending claim will return `None`.
-            let entry = &mut self.slots[id.slot as usize];
-            entry.payload = None;
-            self.free.push(id.slot);
-            self.batch_pending -= 1;
-            return true;
         }
         let pos = self.slots[id.slot as usize].pos as usize;
         let last = self.heap.len() - 1;
@@ -328,115 +294,6 @@ impl<E> EventQueue<E> {
     /// Returns the timestamp of the next live event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|&s| self.slots[s as usize].at)
-    }
-
-    /// Extracts every event sharing the minimum timestamp in one heap
-    /// pass, advancing the clock to that timestamp. `out` receives the
-    /// event ids in firing order (ascending `seq` — exactly the order
-    /// repeated [`EventQueue::pop`] calls would return them). Returns the
-    /// batch timestamp, or `None` if the queue is empty.
-    ///
-    /// The extracted payloads stay parked in the slab until the caller
-    /// [`EventQueue::claim`]s each id, so a mid-batch
-    /// [`EventQueue::cancel`] of a not-yet-claimed event behaves exactly
-    /// as it would have while the event was still enqueued. Interleaved
-    /// `schedule` calls are fine (same-time schedules land in the *next*
-    /// batch, as `schedule_now` lands after pending ties under `pop`);
-    /// calling `pop_batch` again before the current batch is fully
-    /// claimed or cancelled is a logic error.
-    ///
-    /// Why one pass is possible: keys `(at, seq)` are distinct and a
-    /// parent's key is ≤ its children's, so the entries holding the
-    /// minimum timestamp form a rooted subtree containing position 0.
-    /// Collecting that subtree, back-filling the holes from the heap's
-    /// tail, and running a Floyd-style `sift_down` over the filled holes
-    /// in descending position order restores the heap without any
-    /// `sift_up` (every hole's parent is a hole).
-    pub fn pop_batch(&mut self, out: &mut Vec<EventId>) -> Option<SimTime> {
-        debug_assert_eq!(self.batch_pending, 0, "previous batch not drained");
-        out.clear();
-        let &root = self.heap.first()?;
-        let t = self.slots[root as usize].at;
-        self.now = t;
-
-        // Collect the equal-time subtree. Children of position `p` are
-        // `D*p + 1 ..= D*p + D`, all greater than `p`, and the scan frontier
-        // is processed in insertion order, so `batch_pos` ends up sorted
-        // ascending.
-        let mut batch_pos = std::mem::take(&mut self.batch_pos);
-        let mut batch_ent = std::mem::take(&mut self.batch_ent);
-        batch_pos.clear();
-        batch_ent.clear();
-        batch_pos.push(0);
-        let mut i = 0;
-        while i < batch_pos.len() {
-            let pos = batch_pos[i] as usize;
-            let first = pos * D + 1;
-            let last = (first + D).min(self.heap.len());
-            for c in first..last {
-                if self.slots[self.heap[c] as usize].at == t {
-                    batch_pos.push(c as u32);
-                }
-            }
-            i += 1;
-        }
-        let k = batch_pos.len();
-
-        // Park every cluster entry out of the heap.
-        for &pos in &batch_pos {
-            let slot = self.heap[pos as usize];
-            let entry = &mut self.slots[slot as usize];
-            entry.pos = BATCH_POS;
-            batch_ent.push((entry.seq, slot));
-        }
-        batch_ent.sort_unstable_by_key(|&(seq, _)| seq);
-        out.extend(batch_ent.iter().map(|&(seq, slot)| EventId { seq, slot }));
-        self.batch_pending = k;
-
-        // Excise the holes: move each non-hole tail element into a hole
-        // below the new length, then truncate. `batch_pos` is sorted, so
-        // the holes at/above `new_len` form its suffix.
-        let old_len = self.heap.len();
-        let new_len = old_len - k;
-        let split = batch_pos.partition_point(|&p| (p as usize) < new_len);
-        let mut fill = 0;
-        let mut tail_hole = batch_pos.len();
-        for src in (new_len..old_len).rev() {
-            if tail_hole > split && batch_pos[tail_hole - 1] as usize == src {
-                tail_hole -= 1;
-                continue;
-            }
-            let hole = batch_pos[fill] as usize;
-            fill += 1;
-            let slot = self.heap[src];
-            self.heap[hole] = slot;
-            self.slots[slot as usize].pos = hole as u32;
-        }
-        debug_assert_eq!(fill, split);
-        self.heap.truncate(new_len);
-        for h in (0..split).rev() {
-            self.sift_down(batch_pos[h] as usize);
-        }
-
-        self.batch_pos = batch_pos;
-        self.batch_ent = batch_ent;
-        Some(t)
-    }
-
-    /// Takes the payload of an event extracted by
-    /// [`EventQueue::pop_batch`], freeing its slot. Returns `None` if the
-    /// event was cancelled after extraction — the batched caller's
-    /// equivalent of a cancelled event simply never being popped.
-    pub fn claim(&mut self, id: EventId) -> Option<E> {
-        let entry = self.slots.get_mut(id.slot as usize)?;
-        if entry.seq != id.seq || entry.payload.is_none() {
-            return None;
-        }
-        debug_assert_eq!(entry.pos, BATCH_POS, "claim of a still-enqueued event");
-        let payload = entry.payload.take();
-        self.free.push(id.slot);
-        self.batch_pending -= 1;
-        payload
     }
 }
 
@@ -625,142 +482,6 @@ mod tests {
             .collect();
         assert_eq!(drained, model);
     }
-    /// Drains a queue through `pop_batch`/`claim`, recording
-    /// `(at, seq, payload)` per claimed event.
-    fn drain_batched<E>(q: &mut EventQueue<E>) -> Vec<(SimTime, u64, E)> {
-        let mut out = Vec::new();
-        let mut batch = Vec::new();
-        while let Some(t) = q.pop_batch(&mut batch) {
-            for id in batch.drain(..) {
-                if let Some(e) = q.claim(id) {
-                    out.push((t, id.as_u64(), e));
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn batch_emission_order_equals_repeated_pop() {
-        // Two identically-driven queues: interleaved times, a dense tie
-        // cluster, cancels before the drain. The batched drain must yield
-        // exactly the pop-at-a-time sequence.
-        let build = || {
-            let mut q = EventQueue::new();
-            let t5 = SimTime::from_secs(5);
-            q.schedule(t5, "a");
-            q.schedule(SimTime::from_secs(3), "early");
-            let dead = q.schedule(t5, "dead");
-            q.schedule(t5, "b");
-            q.schedule(SimTime::from_secs(9), "late");
-            q.schedule(t5, "c");
-            q.cancel(dead);
-            q
-        };
-        let mut by_pop = build();
-        let popped: Vec<_> = std::iter::from_fn(|| by_pop.pop())
-            .map(|(at, id, e)| (at, id.as_u64(), e))
-            .collect();
-        assert_eq!(drain_batched(&mut build()), popped);
-    }
-
-    #[test]
-    fn pop_batch_on_empty_queue_returns_none() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), None);
-        assert!(batch.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn singleton_batch_behaves_like_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(2), "only");
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), Some(SimTime::from_secs(2)));
-        assert_eq!(batch.len(), 1);
-        assert_eq!(q.now(), SimTime::from_secs(2));
-        assert_eq!(q.len(), 1, "unclaimed batch entries still count as live");
-        assert_eq!(q.claim(batch[0]), Some("only"));
-        assert!(q.is_empty());
-        assert_eq!(q.claim(batch[0]), None, "double claim");
-    }
-
-    #[test]
-    fn cancel_inside_batch_suppresses_the_claim() {
-        // A handler running mid-batch cancels a later same-time event —
-        // exactly what the engine's fair-share correction does. The
-        // cancel must succeed (the event "was still in the queue" under
-        // pop semantics) and the claim must come back empty.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        q.schedule(t, 1);
-        let victim = q.schedule(t, 2);
-        q.schedule(t, 3);
-        let mut batch = Vec::new();
-        q.pop_batch(&mut batch);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(q.claim(batch[0]), Some(1));
-        assert!(q.cancel(victim), "cancel of an unclaimed batch event");
-        assert!(!q.cancel(victim), "double cancel is still a no-op");
-        assert_eq!(q.claim(batch[1]), None, "cancelled mid-batch");
-        assert_eq!(q.claim(batch[2]), Some(3));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn schedules_during_a_batch_land_in_the_next_batch() {
-        // `schedule_now` from inside a handler must fire after every
-        // event pending at that instant — under batching, in the *next*
-        // batch at the same timestamp.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(4);
-        q.schedule(t, 1);
-        q.schedule(t, 2);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), Some(t));
-        assert_eq!(batch.len(), 2);
-        assert_eq!(q.claim(batch[0]), Some(1));
-        q.schedule_now(3);
-        assert_eq!(q.claim(batch[1]), Some(2));
-        let mut next = Vec::new();
-        assert_eq!(q.pop_batch(&mut next), Some(t));
-        assert_eq!(next.len(), 1);
-        assert_eq!(q.claim(next[0]), Some(3));
-    }
-
-    #[test]
-    fn batch_depth_accounting_matches_pop_semantics() {
-        // `len` and the high-water mark must report what a pop-at-a-time
-        // caller would see: unclaimed batch entries count, and schedules
-        // issued mid-batch push the high-water mark as if the remaining
-        // batch events were still enqueued.
-        let mut by_pop = EventQueue::new();
-        let mut by_batch = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        for q in [&mut by_pop, &mut by_batch] {
-            for i in 0..4 {
-                q.schedule(t, i);
-            }
-        }
-        // Pop path: pop one, schedule two later events while three remain.
-        by_pop.pop();
-        by_pop.schedule(SimTime::from_secs(2), 10);
-        by_pop.schedule(SimTime::from_secs(2), 11);
-        // Batch path: same history through pop_batch/claim.
-        let mut batch = Vec::new();
-        by_batch.pop_batch(&mut batch);
-        by_batch.claim(batch[0]);
-        by_batch.schedule(SimTime::from_secs(2), 10);
-        by_batch.schedule(SimTime::from_secs(2), 11);
-        assert_eq!(by_batch.len(), by_pop.len());
-        assert_eq!(by_batch.high_water(), by_pop.high_water());
-        for id in &batch[1..] {
-            by_batch.claim(*id);
-        }
-        assert_eq!(by_batch.len(), by_pop.len() - 3);
-    }
 
     #[test]
     fn reset_queue_is_indistinguishable_from_fresh() {
@@ -787,60 +508,6 @@ mod tests {
         let a: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         let b: Vec<_> = std::iter::from_fn(|| fresh.pop()).collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batched_drain_equals_pop_drain_under_random_churn() {
-        // Property test: drive two queues with an identical random mix of
-        // schedules (heavily tied timestamps, so batches get dense) and
-        // cancels — including cancels issued *mid-batch* — and require
-        // the batched drain to reproduce the pop-at-a-time drain event
-        // for event, across many seeds.
-        use crate::rng::Rng64;
-
-        for seed in 0..20u64 {
-            let mut rng = Rng64::seed_from_u64(0x9A7C_0000 + seed);
-            let mut by_pop: EventQueue<u64> = EventQueue::new();
-            let mut by_batch: EventQueue<u64> = EventQueue::new();
-            let mut ids_pop = Vec::new();
-            let mut ids_batch = Vec::new();
-            for step in 0..400u64 {
-                // Coarse timestamps force multi-event clusters.
-                let at = SimTime::ZERO + SimDuration::from_secs(rng.range_u64(0, 8));
-                let at = at.max(by_pop.now());
-                ids_pop.push(by_pop.schedule(at, step));
-                ids_batch.push(by_batch.schedule(at, step));
-                if rng.range_usize(4) == 0 && !ids_pop.is_empty() {
-                    let i = rng.range_usize(ids_pop.len());
-                    assert_eq!(
-                        by_pop.cancel(ids_pop[i]),
-                        by_batch.cancel(ids_batch[i]),
-                        "cancel verdicts diverged (seed {seed}, step {step})"
-                    );
-                }
-            }
-            // Drain both, cancelling a random surviving id mid-batch now
-            // and then to exercise cancel-inside-batch.
-            let mut popped = Vec::new();
-            let mut batched = Vec::new();
-            let mut batch = Vec::new();
-            while let Some(t) = by_batch.pop_batch(&mut batch) {
-                for (n, id) in batch.drain(..).enumerate() {
-                    if n == 1 && rng.range_usize(3) == 0 {
-                        let i = rng.range_usize(ids_pop.len());
-                        assert_eq!(by_pop.cancel(ids_pop[i]), by_batch.cancel(ids_batch[i]));
-                    }
-                    if let Some(e) = by_batch.claim(id) {
-                        batched.push((t, id.as_u64(), e));
-                        let got = by_pop.pop().map(|(at, pid, pe)| (at, pid.as_u64(), pe));
-                        popped.push(got.expect("pop queue drained early"));
-                    }
-                }
-                assert_eq!(by_batch.len(), by_pop.len(), "depth diverged (seed {seed})");
-            }
-            assert_eq!(by_pop.pop(), None, "batched drain missed events");
-            assert_eq!(batched, popped, "drain order diverged (seed {seed})");
-        }
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! - simulated time ([`time::SimTime`], [`time::SimDuration`]) with integer
 //!   microsecond resolution,
 //! - a future event list ([`event::EventQueue`]) with a stable
-//!   `(time, scheduling order)` total order,
-//! - single-server priority resources ([`resource::Resource`]) modelling
-//!   half-duplex NICs, disks and CPUs,
-//! - statistics collectors ([`stats`]) and seed derivation ([`rng`]).
+//!   `(time, scheduling order)` total order, popped one event at a time,
+//! - statistics collectors ([`stats`]), seeded random streams ([`rng`])
+//!   and run digests ([`digest`]).
+//!
+//! Queueing at a host's disk and CPU is plain first-come-first-served
+//! and lives with the engine that owns the hosts; the network's two
+//! priority classes live in `wadc-net`.
 //!
 //! Unlike CSIM's process-oriented style, the kernel is event-oriented: the
 //! caller owns all world state and handles each popped event. This fits
@@ -52,11 +55,9 @@
 
 pub mod digest;
 pub mod event;
-pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use event::{EventId, EventQueue};
-pub use resource::{Priority, Resource};
 pub use time::{SimDuration, SimTime};

@@ -164,14 +164,6 @@ impl Rng64 {
         let u = 1.0 - self.f64(); // (0, 1]
         -u.ln() / rate
     }
-
-    /// Fisher-Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.range_usize(i + 1);
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -259,17 +251,6 @@ mod tests {
         let n = 20_000;
         let mean = (0..n).map(|_| r.exp(0.5)).sum::<f64>() / n as f64;
         assert!((mean - 2.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng64::seed_from_u64(17);
-        let mut xs: Vec<usize> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

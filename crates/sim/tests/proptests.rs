@@ -5,7 +5,6 @@
 //! without an external framework.
 
 use wadc_sim::event::EventQueue;
-use wadc_sim::resource::{Priority, Resource};
 use wadc_sim::rng::{derive_seed2, Rng64};
 use wadc_sim::stats::Tally;
 use wadc_sim::time::{SimDuration, SimTime};
@@ -70,42 +69,6 @@ fn event_queue_cancellation() {
             seen += 1;
         }
         assert_eq!(seen, times.len() - cancelled.len());
-    }
-}
-
-/// A resource serves every request exactly once, high priority first among
-/// waiters, FIFO within a class.
-#[test]
-fn resource_serves_all_in_priority_order() {
-    for case in 0..CASES {
-        let mut rng = case_rng(3, case);
-        let n = rng.range_usize(98) + 2;
-        let prios: Vec<bool> = (0..n).map(|_| rng.bool_with(0.5)).collect();
-        let mut r: Resource<usize> = Resource::new();
-        let mut immediately_served = Vec::new();
-        for (i, &high) in prios.iter().enumerate() {
-            let p = if high {
-                Priority::High
-            } else {
-                Priority::Normal
-            };
-            if let Some(item) = r.request(i, p) {
-                immediately_served.push(item);
-            }
-        }
-        // Only the first request enters service immediately.
-        assert_eq!(&immediately_served, &[0]);
-        let mut served = vec![0];
-        while let Some(next) = r.release() {
-            served.push(next);
-        }
-        assert_eq!(served.len(), prios.len());
-        // After the first, all highs (FIFO) then all normals (FIFO).
-        let queued = &served[1..];
-        let highs: Vec<usize> = (1..prios.len()).filter(|&i| prios[i]).collect();
-        let normals: Vec<usize> = (1..prios.len()).filter(|&i| !prios[i]).collect();
-        let expected: Vec<usize> = highs.into_iter().chain(normals).collect();
-        assert_eq!(queued, &expected[..]);
     }
 }
 

@@ -77,7 +77,8 @@ study  run a multi-configuration comparison of all four algorithms
            gauger contention table (markdown; see
            results/ANALYSIS_gauge_vs_forecast.md)
 trace  characterise the synthetic bandwidth study
-         --pair A,B (0,7)  --seed S (1998)  --window-hours H (12)
+         --pair A,B (0,7)  --seed S (1998)
+         --window-hours H (12, at most the study's 48)
 plan   compute and print a one-shot placement for a random world
          --servers N (8)  --seed S (1998)  --config I (0)
          --objective critical-path|contended (critical-path)
@@ -629,6 +630,15 @@ fn cmd_trace(flags: HashMap<String, String>) {
         reject("a pair needs two distinct hosts");
     }
     let study = BandwidthStudy::default_study(seed);
+    if window > study.duration() {
+        // Past the last sample the mean would hold it to the window's end
+        // while the range and cv cover only the samples that exist.
+        reject(&format!(
+            "--window-hours {:.0} runs past the end of the study, which spans {:.0} h",
+            window.as_secs_f64() / 3600.0,
+            study.duration().as_secs_f64() / 3600.0
+        ));
+    }
     let hosts = study.hosts();
     let Some(trace) = study.trace(a, b) else {
         eprintln!(

@@ -212,6 +212,10 @@ fn inputs_no_run_can_take_exit_2_with_the_reason() {
             &["trace", "--pair", "0,1", "--window-hours", "5124095577"],
             "--window-hours 5124095577 overflows the simulated clock",
         ),
+        (
+            &["trace", "--pair", "0,1", "--window-hours", "49"],
+            "--window-hours 49 runs past the end of the study, which spans 48 h",
+        ),
         // A traced run records on one thread, so it would ignore --threads.
         (
             &["run", "--threads", "2", "--trace-out", trace],

@@ -9,8 +9,9 @@ use wadc::verify::differential::{run_suite, suite_algorithms};
 use wadc::verify::golden;
 use wadc::verify::invariants::assert_clean;
 
-/// The same fixture `wadc verify` embeds.
+/// The same fixtures `wadc verify` embeds.
 const GOLDEN_FIXTURE: &str = include_str!("golden/digests.txt");
+const GOLDEN_FIXTURE_TOPO: &str = include_str!("golden/digests_topo.txt");
 
 #[test]
 fn golden_digests_have_not_drifted() {
@@ -19,6 +20,17 @@ fn golden_digests_have_not_drifted() {
         failures.is_empty(),
         "golden digest drift (acknowledge intentional changes with \
          `wadc verify --print-golden > tests/golden/digests.txt`):\n{}",
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn topo_golden_digests_have_not_drifted() {
+    let failures = golden::compare_topo_fixture(GOLDEN_FIXTURE_TOPO);
+    assert!(
+        failures.is_empty(),
+        "topology golden digest drift (acknowledge intentional changes with \
+         `wadc verify --print-golden-topo > tests/golden/digests_topo.txt`):\n{}",
         failures.join("\n")
     );
 }
