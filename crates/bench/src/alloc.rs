@@ -1,9 +1,9 @@
-//! A counting global allocator for the perf harness.
+//! A counting global allocator for the allocation gate and the benchmark.
 //!
 //! [`CountingAlloc`] wraps [`std::alloc::System`] and keeps process-wide
-//! tallies of allocation traffic: calls to `alloc`/`dealloc`, bytes
-//! allocated, and the high-water mark of live bytes. Binaries that want
-//! the counts install it with
+//! tallies of allocation traffic: calls to `alloc`, and the live bytes
+//! with their high-water mark. Binaries that want the counts install it
+//! with
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -19,10 +19,11 @@
 //!
 //! Counting is always on (never toggled) so the live-byte gauge can
 //! never underflow; scopes are snapshot deltas, which also makes them
-//! cheap. Scopes are not meant to be nested across threads — the
-//! counters are process-global, so a scope observes *all* threads'
-//! traffic. The perf bin runs its measured region single-threaded for
-//! exactly this reason.
+//! cheap. The counters are process-global, so a scope observes *all*
+//! threads' traffic: a scope around a threaded study counts its workers'
+//! allocations too, and a scope opened while unrelated threads allocate
+//! counts theirs. The `perf` gate runs one study at a time for this
+//! reason.
 
 // The one unavoidable `unsafe` in the crate: implementing
 // `GlobalAlloc` requires it. Everything else stays forbidden via the
@@ -33,20 +34,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 
 fn on_alloc(size: u64) {
     ALLOCS.fetch_add(1, Relaxed);
-    BYTES.fetch_add(size, Relaxed);
     let live = CURRENT.fetch_add(size, Relaxed) + size;
     PEAK.fetch_max(live, Relaxed);
 }
 
 fn on_free(size: u64) {
-    FREES.fetch_add(1, Relaxed);
     CURRENT.fetch_sub(size, Relaxed);
 }
 
@@ -94,10 +91,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 pub struct AllocStats {
     /// Calls to `alloc`/`alloc_zeroed` (plus the alloc half of reallocs).
     pub allocs: u64,
-    /// Calls to `dealloc` (plus the free half of reallocs).
-    pub frees: u64,
-    /// Total bytes requested across those allocations.
-    pub bytes_allocated: u64,
     /// High-water mark of live bytes during the scope, measured from the
     /// live total at [`AllocScope::begin`].
     pub peak_bytes: u64,
@@ -106,8 +99,6 @@ pub struct AllocStats {
 /// A snapshot-delta window over the global allocation counters.
 pub struct AllocScope {
     allocs: u64,
-    frees: u64,
-    bytes: u64,
     base_live: u64,
 }
 
@@ -119,8 +110,6 @@ impl AllocScope {
         PEAK.store(base_live, Relaxed);
         AllocScope {
             allocs: ALLOCS.load(Relaxed),
-            frees: FREES.load(Relaxed),
-            bytes: BYTES.load(Relaxed),
             base_live,
         }
     }
@@ -129,8 +118,6 @@ impl AllocScope {
     pub fn finish(self) -> AllocStats {
         AllocStats {
             allocs: ALLOCS.load(Relaxed) - self.allocs,
-            frees: FREES.load(Relaxed) - self.frees,
-            bytes_allocated: BYTES.load(Relaxed) - self.bytes,
             peak_bytes: PEAK.load(Relaxed).saturating_sub(self.base_live),
         }
     }

@@ -153,7 +153,6 @@ fn main() {
         ALGORITHMS.len(),
         args.threads
     );
-    let t0 = std::time::Instant::now();
 
     // Cells are summed in configuration order, so the float sums — and
     // the archive — do not depend on the thread count.
@@ -170,7 +169,6 @@ fn main() {
             }
         }
     }
-    eprintln!("done in {:.1} s", t0.elapsed().as_secs_f64());
 
     let mut json_rows = Vec::new();
     println!("=== robustness: completion rate / slowdown vs clean / mean retransmits ===");

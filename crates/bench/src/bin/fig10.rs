@@ -25,10 +25,7 @@ fn run_shape(args: &FigArgs, shape: TreeShape) -> StudyResults {
         "running {} configurations with a {shape:?} tree on {} threads...",
         params.n_configs, args.threads
     );
-    let t0 = std::time::Instant::now();
-    let results = run_study_parallel(&params, args.threads);
-    eprintln!("  done in {:.1} s", t0.elapsed().as_secs_f64());
-    results
+    run_study_parallel(&params, args.threads)
 }
 
 fn main() {

@@ -24,9 +24,7 @@ fn main() {
         "running {} configurations x 4 algorithms on {} threads...",
         params.n_configs, args.threads
     );
-    let t0 = std::time::Instant::now();
     let results = run_study_parallel(&params, args.threads);
-    eprintln!("done in {:.1} s", t0.elapsed().as_secs_f64());
 
     // Left graph: one-shot and global, configurations sorted by the global
     // algorithm's speedup (the paper sorts "by the performance of one of

@@ -27,9 +27,7 @@ fn main() {
         "running {} configurations x (download-all + 7 local variants) on {} threads...",
         params.n_configs, args.threads
     );
-    let t0 = std::time::Instant::now();
     let results = run_study_parallel(&params, args.threads);
-    eprintln!("done in {:.1} s", t0.elapsed().as_secs_f64());
 
     println!("=== Figure 7: local algorithm, k additional random candidate sites ===");
     println!("k  avg speedup over download-all");

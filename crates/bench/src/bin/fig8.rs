@@ -24,9 +24,7 @@ fn main() {
             "running {} configurations with {n} servers on {} threads...",
             params.n_configs, args.threads
         );
-        let t0 = std::time::Instant::now();
         let results = run_study_parallel(&params, args.threads);
-        eprintln!("  done in {:.1} s", t0.elapsed().as_secs_f64());
         for (alg, series) in per_alg.iter_mut().enumerate() {
             series.push(results.mean_speedup(alg));
         }

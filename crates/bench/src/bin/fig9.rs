@@ -28,9 +28,7 @@ fn main() {
         "running {} configurations x (download-all + 5 global periods) on {} threads...",
         params.n_configs, args.threads
     );
-    let t0 = std::time::Instant::now();
     let results = run_study_parallel(&params, args.threads);
-    eprintln!("done in {:.1} s", t0.elapsed().as_secs_f64());
 
     println!("=== Figure 9: global algorithm, relocation period sweep ===");
     println!("period (min)  avg speedup over download-all");

@@ -1,4 +1,4 @@
-//! # wadc-bench — figure regeneration and performance benches
+//! # wadc-bench — figure regeneration and the allocation gate
 //!
 //! One binary per figure of the paper's evaluation:
 //!
@@ -15,10 +15,12 @@
 //! accepts `--configs N` (default: the paper's 300), `--seed S`,
 //! `--threads T` and `--json PATH` (machine-readable series archive).
 //!
-//! The `perf` binary is the perf-regression harness: it times the event
-//! queue, the placement search and trace lookups, and its `--alloc-gate`
-//! counts the allocations of seven studies against committed budgets
-//! (`cargo run --release -p wadc-bench --bin perf`).
+//! The `perf` binary is the allocation gate: it runs seven studies once
+//! each, untimed, and exits 1 if one makes more allocations per engine run
+//! or peaks at more live bytes than its committed budget
+//! (`cargo run --release -p wadc-bench --bin perf`, `-- --quick` at
+//! reduced scale). It reads no clock; the repository benchmark,
+//! `studybench/`, measures time.
 
 // `deny` rather than `forbid`: the counting allocator in `alloc` must
 // implement `GlobalAlloc`, which is an `unsafe` trait; that module

@@ -1,8 +1,8 @@
 //! The bench binaries refuse input they would otherwise drop: they exit 2
 //! with the reason on standard error before any work, instead of printing
-//! NaN means, a "best" setting chosen from nothing, an empty archive or a
-//! repetition count other than the one asked for; and a malformed flag
-//! exits 2 with its name rather than panicking with a backtrace.
+//! NaN means, a "best" setting chosen from nothing or an empty archive;
+//! and a flag a binary does not take, or a malformed one, exits 2 with its
+//! name rather than being ignored or panicking with a backtrace.
 
 use std::process::Command;
 
@@ -59,16 +59,16 @@ fn ablations_reject_an_unknown_which() {
 }
 
 #[test]
-fn perf_rejects_zero_reps() {
-    // A bench of no repetitions must not quietly run one. Should the check
-    // regress, the archive lands in the temp dir, not the tree.
-    let archive = std::env::temp_dir().join("wadc-perf-rejects-zero-reps.json");
-    let archive = archive.to_str().expect("a UTF-8 temp path");
-    assert_rejected(
-        env!("CARGO_BIN_EXE_perf"),
-        &["--reps", "0", "--quick", "--json", archive],
-        "--reps must be at least 1",
-    );
+fn perf_takes_no_flag_but_quick() {
+    // The gate runs each study once, untimed, at the seed its budgets were
+    // measured at, so it takes no repetition count and no seed.
+    for flag in ["--reps", "--seed"] {
+        assert_rejected(
+            env!("CARGO_BIN_EXE_perf"),
+            &[flag, "5"],
+            &format!("unknown flag {flag}; known: --quick"),
+        );
+    }
 }
 
 #[test]
@@ -91,8 +91,8 @@ fn malformed_flags_exit_2_instead_of_panicking() {
         ),
         (
             env!("CARGO_BIN_EXE_perf"),
-            &["--reps", "x"],
-            "invalid value for --reps: x",
+            &["--bogus"],
+            "unknown flag --bogus; known: --quick",
         ),
         (
             env!("CARGO_BIN_EXE_chaos"),

@@ -3,7 +3,6 @@
 use wadc_app::workload::WorkloadParams;
 pub use wadc_mobile::registry::MobilityMode;
 use wadc_monitor::cache::MonitorConfig;
-use wadc_net::disk::DiskModel;
 use wadc_net::faults::FaultPlan;
 use wadc_net::network::{NetStats, NetworkParams};
 use wadc_plan::cost::CostModel;
@@ -132,10 +131,9 @@ pub struct EngineConfig {
     pub workload: WorkloadParams,
     /// Monitoring constants (default: S=16 KB, T=40 s, 1 KB piggyback).
     pub monitor: MonitorConfig,
-    /// Network constants (default: 50 ms startup).
+    /// Network constants (default: the paper's one half-duplex NIC per
+    /// host).
     pub net: NetworkParams,
-    /// Disk model (default: 3 MB/s).
-    pub disk: DiskModel,
     /// Planning cost model (default: the paper's constants).
     pub cost_model: CostModel,
     /// Application-level bytes of state shipped when an operator
@@ -198,7 +196,6 @@ impl EngineConfig {
             workload: WorkloadParams::paper_defaults(),
             monitor: MonitorConfig::paper_defaults(),
             net: NetworkParams::paper_defaults(),
-            disk: DiskModel::paper_defaults(),
             cost_model: CostModel::paper_defaults(),
             operator_state_bytes: 4096,
             mobility: MobilityMode::PreInstalled,

@@ -10,6 +10,7 @@ use wadc_app::compose::{compose_secs, PAPER_SECS_PER_PIXEL};
 use wadc_app::image::ImageDims;
 use wadc_monitor::piggyback;
 use wadc_net::network::Priority;
+use wadc_plan::cost::DISK_BYTES_PER_SEC;
 use wadc_plan::ids::{HostId, NodeId};
 use wadc_plan::tree::NodeKind;
 use wadc_sim::time::{SimDuration, SimTime};
@@ -511,7 +512,7 @@ impl Engine {
             .workload
             .server(server)
             .image_dims(iteration as usize - 1);
-        let duration = self.cfg.disk.read_duration(dims.bytes());
+        let duration = SimDuration::from_secs_f64(dims.bytes() as f64 / DISK_BYTES_PER_SEC);
         self.request_job(
             host,
             Unit::Disk,

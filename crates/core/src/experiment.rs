@@ -344,7 +344,8 @@ impl Experiment {
     /// Builds (without running) the world for one run of `algorithm`,
     /// drawing its growable state from `scratch`; run it with
     /// [`Engine::run_reclaim_scratch`]. Every engine is built here. The
-    /// world-setup microbench measures this alone; normal callers want
+    /// repository benchmark calls it alone to time world setup apart from
+    /// the run (`core.world_build`); normal callers want
     /// [`Experiment::run_scratch`].
     ///
     /// # Panics

@@ -7,7 +7,6 @@
 //! - [`network::Network`] — half-duplex single-NIC hosts, 50 ms message
 //!   startup, priority queueing of control traffic, exact transfer times
 //!   integrated over the time-varying traces,
-//! - [`disk::DiskModel`] — the 3 MB/s server disk,
 //! - [`faults::FaultPlan`] — deterministic, seed-derived fault injection:
 //!   link outages, host blackouts, message loss, probe black-holing and
 //!   operator-move failures,
@@ -38,12 +37,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod disk;
 pub mod faults;
 pub mod network;
 pub mod topo;
 
-pub use disk::DiskModel;
 pub use faults::{FaultInjector, FaultPlan, HostBlackout, LinkOutage, TrafficKind};
 pub use network::{
     Delivery, KindStats, NetStats, Network, NetworkParams, Priority, StartedTransfer, TransferId,

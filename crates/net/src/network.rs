@@ -5,8 +5,9 @@
 //! - every host has a **single network interface** — it "can send or
 //!   receive at most one message at a time", so a transfer occupies both
 //!   endpoints' NICs for its whole duration (end-point congestion),
-//! - every message pays a fixed **startup cost** (50 ms in the paper)
-//!   before data flows at the traced, time-varying link bandwidth,
+//! - every message pays a fixed **startup cost** (50 ms in the paper,
+//!   [`STARTUP`]) before data flows at the traced, time-varying link
+//!   bandwidth,
 //! - **high-priority messages** (barriers and other control traffic) are
 //!   "preferentially processed": they overtake queued data messages but do
 //!   not preempt a transfer already in progress.
@@ -22,6 +23,7 @@ use wadc_obs::recorder::{
     Obs, SeriesId, SeriesName, SpanArgs, SpanId, SpanKind, TrackId, TrackName,
 };
 use wadc_obs::report::fmt_bytes;
+use wadc_plan::cost::STARTUP;
 use wadc_plan::ids::HostId;
 use wadc_sim::time::{SimDuration, SimTime};
 
@@ -56,8 +58,6 @@ impl TransferId {
 /// Network-wide parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkParams {
-    /// Per-message startup cost (paper: 50 ms).
-    pub startup: SimDuration,
     /// Concurrent transfers a host can participate in. The paper assumes
     /// a single half-duplex interface (capacity 1, "send or receive at
     /// most one message at a time"); the paper notes this assumption "can
@@ -66,15 +66,12 @@ pub struct NetworkParams {
 }
 
 impl NetworkParams {
-    /// The paper's constants.
+    /// The paper's network: one half-duplex interface per host.
     pub fn paper_defaults() -> Self {
-        NetworkParams {
-            startup: SimDuration::from_millis(50),
-            nic_capacity: 1,
-        }
+        NetworkParams { nic_capacity: 1 }
     }
 
-    /// Paper defaults with a different NIC capacity.
+    /// Hosts with `capacity` interfaces each.
     ///
     /// # Panics
     ///
@@ -83,7 +80,6 @@ impl NetworkParams {
         assert!(capacity > 0, "a host needs at least one channel");
         NetworkParams {
             nic_capacity: capacity,
-            ..NetworkParams::paper_defaults()
         }
     }
 }
@@ -656,7 +652,7 @@ impl<P> Network<P> {
                 let p = queue.remove(i);
                 self.nic_busy[spec.src.index()] += 1;
                 self.nic_busy[spec.dst.index()] += 1;
-                let data_start = now + self.params.startup;
+                let data_start = now + STARTUP;
                 let cursor_idx = self.cursor_index(spec.src, spec.dst);
                 let trace = self.topo.topology().nominal_trace(spec.src, spec.dst);
                 let completes_at = data_start

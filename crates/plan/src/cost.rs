@@ -5,10 +5,24 @@
 //! edge, plus per-node processing costs (disk read at servers, composition
 //! at operators). The constants default to the paper's simulation
 //! parameters: 50 ms message startup, 3 MB/s disk, 7 µs/pixel composition,
-//! 128 KB expected images.
+//! 128 KB expected images. The startup and the disk rate are also what the
+//! simulated network and disks charge, so both are defined here once.
+
+use wadc_sim::time::SimDuration;
 
 use crate::bandwidth::BandwidthView;
 use crate::ids::HostId;
+
+/// Per-message startup cost, paid before a message's data flows (the
+/// paper's 50 ms). The simulated network charges it and the cost model
+/// prices it.
+pub const STARTUP: SimDuration = SimDuration::from_millis(50);
+
+/// Server disk read bandwidth, bytes per second. The paper's simulation
+/// "includes ... retrieval of images from disk" with "the disk bandwidth
+/// set to 3MB/s"; the engine's disk stations read at it and the cost model
+/// prices it.
+pub const DISK_BYTES_PER_SEC: f64 = 3.0 * 1024.0 * 1024.0;
 
 /// Expected image size used for planning, bytes (the paper's measured mean
 /// for hurricane-imagery web sites).
@@ -69,11 +83,11 @@ impl CostModel {
             "expected image size must be finite and positive"
         );
         CostModel {
-            startup_secs: 0.050,
+            startup_secs: STARTUP.as_secs_f64(),
             edge_bytes: bytes,
             unknown_bandwidth: 8.0 * 1024.0,
             compute_secs: 7e-6 * bytes, // one byte per pixel
-            disk_secs: bytes / (3.0 * 1024.0 * 1024.0),
+            disk_secs: bytes / DISK_BYTES_PER_SEC,
         }
     }
 

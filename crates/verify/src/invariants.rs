@@ -12,6 +12,7 @@ use std::collections::{HashMap, HashSet};
 use wadc_app::workload::Workload;
 use wadc_core::engine::audit::AuditEvent;
 use wadc_core::engine::{Algorithm, EngineConfig, RunOutcome, RunResult};
+use wadc_plan::cost::STARTUP;
 use wadc_plan::ids::{HostId, OperatorId};
 use wadc_sim::rng::derive_seed;
 use wadc_sim::time::SimTime;
@@ -486,7 +487,7 @@ fn check_residency(cfg: &EngineConfig, result: &RunResult, v: &mut Vec<Violation
                                 ),
                             ));
                         }
-                        let min_micros = cfg.net.startup.as_micros();
+                        let min_micros = STARTUP.as_micros();
                         if at.as_micros() < fl.started_at.as_micros() + min_micros {
                             v.push(Violation::new(
                                 "light-move-timing",

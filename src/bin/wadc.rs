@@ -61,7 +61,8 @@ run    simulate one configuration under one algorithm
          --topology paper-wan: run over the shared-bottleneck topology
            (regional access links behind two oceanic backbones) instead
            of independent per-pair links
-         --knowledge monitored|oracle|forecast|gauged (monitored)
+         --knowledge monitored|oracle|forecast|gauged (monitored; gauged
+           needs --topology: the gauger learns only from shared links)
          --trace-out PATH (Chrome trace JSON, load in Perfetto)
          --jsonl-out PATH (span/sample stream, one JSON object per line)
 report run one configuration with tracing and print a human-readable
@@ -75,7 +76,7 @@ study  run a multi-configuration comparison of all four algorithms
          --topology paper-wan  --knowledge monitored|oracle|forecast|gauged
          --gauge-analysis: instead of a study, print the forecaster-vs-
            gauger contention table (markdown; see
-           results/ANALYSIS_gauge_vs_forecast.md)
+           results/ANALYSIS_gauge_vs_forecast.md); takes only --seed
 trace  characterise the synthetic bandwidth study
          --pair A,B (0,7)  --seed S (1998)
          --window-hours H (12, at most the study's 48)
@@ -363,6 +364,12 @@ fn study_from(flags: &HashMap<String, String>) -> StudyParams {
     params.tree_shape = shape_from(flags);
     params.topology = topology_from(flags);
     params.knowledge = knowledge_from(flags);
+    if params.knowledge == KnowledgeMode::Gauged && params.topology.is_none() {
+        reject(
+            "--knowledge gauged needs --topology: the gauger learns only from transfers \
+             that share a link, and a per-pair world shares none",
+        );
+    }
     params.workload.images_per_server = flag(flags, "--images", params.workload.images_per_server);
     params
 }
@@ -567,6 +574,17 @@ fn cmd_report(flags: HashMap<String, String>) {
 
 fn cmd_study(flags: HashMap<String, String>) {
     if flags.contains_key("--gauge-analysis") {
+        // The analysis runs its own harness, not a study: of the study's
+        // flags it reads only the seed.
+        let ignored = flags
+            .keys()
+            .filter(|k| !matches!(k.as_str(), "--gauge-analysis" | "--seed"))
+            .min();
+        if let Some(other) = ignored {
+            reject(&format!(
+                "--gauge-analysis takes no flag but --seed: {other} would be ignored"
+            ));
+        }
         let seed = flag(&flags, "--seed", 1998u64);
         print!(
             "{}",

@@ -216,6 +216,52 @@ fn inputs_no_run_can_take_exit_2_with_the_reason() {
             &["trace", "--pair", "0,1", "--window-hours", "49"],
             "--window-hours 49 runs past the end of the study, which spans 48 h",
         ),
+        // The gauge analysis runs its own harness: of the study's flags it
+        // reads only the seed.
+        (
+            &[
+                "study",
+                "--gauge-analysis",
+                "--configs",
+                "5",
+                "--threads",
+                "3",
+                "--servers",
+                "9",
+                "--topology",
+                "paper-wan",
+                "--knowledge",
+                "oracle",
+            ],
+            "--gauge-analysis takes no flag but --seed: --configs would be ignored",
+        ),
+        (
+            &["study", "--seed", "3", "--gauge-analysis", "--threads", "2"],
+            "--gauge-analysis takes no flag but --seed: --threads would be ignored",
+        ),
+        // The gauger learns only from transfers that share a link, so on a
+        // per-pair world it would silently run the monitored algorithm.
+        (
+            &[
+                "run",
+                "--servers",
+                "8",
+                "--images",
+                "30",
+                "--algorithm",
+                "global",
+                "--period-mins",
+                "2",
+                "--knowledge",
+                "gauged",
+                "--json",
+            ],
+            "--knowledge gauged needs --topology",
+        ),
+        (
+            &["study", "--configs", "2", "--knowledge", "gauged"],
+            "--knowledge gauged needs --topology",
+        ),
         // A traced run records on one thread, so it would ignore --threads.
         (
             &["run", "--threads", "2", "--trace-out", trace],
