@@ -6,8 +6,10 @@
 
 use std::process::Command;
 
-/// Asserts that `bin args` exits 2, gives `reason` on standard error and
-/// printed nothing on standard output (so nothing ran).
+/// Asserts that `bin args` exits 2, that its standard error is the one
+/// line `error: {reason}` (the whole reason, so a row pins every word of
+/// it, a known-flag list included) and that it printed nothing on
+/// standard output (so nothing ran).
 fn assert_rejected(bin: &str, args: &[&str], reason: &str) {
     let out = Command::new(bin)
         .args(args)
@@ -19,9 +21,10 @@ fn assert_rejected(bin: &str, args: &[&str], reason: &str) {
         Some(2),
         "{bin} {args:?} should exit 2; stderr: {stderr}"
     );
-    assert!(
-        stderr.contains(reason),
-        "{bin} {args:?} should give the reason {reason:?}; stderr: {stderr}"
+    assert_eq!(
+        stderr,
+        format!("error: {reason}\n"),
+        "{bin} {args:?} should give exactly the reason {reason:?}"
     );
     assert!(
         out.stdout.is_empty(),
@@ -35,7 +38,7 @@ fn figure_binaries_reject_zero_configs() {
     assert_rejected(
         env!("CARGO_BIN_EXE_fig6"),
         &["--configs", "0"],
-        "--configs must be at least 1",
+        "--configs must be at least 1: a study of no configurations compares nothing",
     );
 }
 
@@ -44,7 +47,7 @@ fn ablations_reject_zero_configs() {
     assert_rejected(
         env!("CARGO_BIN_EXE_ablations"),
         &["--configs", "0"],
-        "--configs must be at least 1",
+        "--configs must be at least 1: a study of no configurations compares nothing",
     );
 }
 
@@ -54,7 +57,8 @@ fn ablations_reject_an_unknown_which() {
     assert_rejected(
         env!("CARGO_BIN_EXE_ablations"),
         &["--which", "objectiv"],
-        "--which objectiv names no ablation; known: all, objective, knowledge,",
+        "--which objectiv names no ablation; known: all, objective, knowledge, probes, \
+         ordering, tthres, monitoring, duplex, mobility, state",
     );
 }
 

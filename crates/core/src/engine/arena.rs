@@ -138,10 +138,10 @@ impl HostRt {
         }
     }
 
-    /// Restores the state a fresh host starts a run with, keeping every
-    /// buffer's capacity.
-    pub(super) fn reset(&mut self, monitor: MonitorConfig) {
-        self.cache.reset(monitor);
+    /// Restores the state a fresh host of an `n_hosts`-host world starts a
+    /// run with, keeping every buffer's capacity.
+    pub(super) fn reset(&mut self, monitor: MonitorConfig, n_hosts: usize) {
+        self.cache.reset(monitor, n_hosts);
         self.forecaster.reset(FORECAST_WINDOW);
         self.vector.assign(&[]);
         for s in &mut self.stations {

@@ -328,7 +328,7 @@ mod tests {
             iteration: 1,
             version: 1,
         });
-        m.piggyback = collect(&cache, SimTime::ZERO);
+        m.piggyback = collect(&mut cache, SimTime::ZERO);
         m.locations = Some(LocationVector::new(vec![HostId::new(0); 3]));
         assert_eq!(m.wire_bytes(0), HEADER_BYTES + 24 + 36);
     }

@@ -242,7 +242,7 @@ impl Engine {
             &mut scratch.hosts,
             n_hosts,
             || HostRt::new(cfg.monitor),
-            |_, h| h.reset(cfg.monitor),
+            |_, h| h.reset(cfg.monitor, n_hosts),
         );
         scratch.transport.reset(&cfg, n_hosts);
         let mut net = Network::with_scratch(cfg.net, topology, scratch.net);

@@ -59,7 +59,7 @@ impl Transport {
         self.probe_scheduler = cfg
             .active_monitoring
             .map(|interval| ProbeScheduler::all_pairs(n_hosts, interval, derive_seed(cfg.seed, 3)));
-        self.gauge = Gauge::new();
+        self.gauge.clear();
     }
 }
 
@@ -375,8 +375,8 @@ impl Engine {
     /// its piggybacked bandwidth values and, in local mode, its location
     /// vector. A resent message's stale vector is refreshed in place.
     fn stamp(&mut self, msg: &mut Message, now: SimTime) {
-        let from = &self.hosts[msg.src_host.index()];
-        piggyback::collect_into(&from.cache, now, &mut msg.piggyback);
+        let from = &mut self.hosts[msg.src_host.index()];
+        piggyback::collect_into(&mut from.cache, now, &mut msg.piggyback);
         if self.local_mode {
             let mut v = msg
                 .locations
@@ -513,7 +513,7 @@ impl Engine {
         msg.src_host = a;
         msg.dst_host = b;
         msg.dst_node = self.tree.root();
-        piggyback::collect_into(&self.hosts[a.index()].cache, now, &mut msg.piggyback);
+        piggyback::collect_into(&mut self.hosts[a.index()].cache, now, &mut msg.piggyback);
         let tid = self.net.submit(
             TransferSpec {
                 src: a,

@@ -59,6 +59,22 @@ fn norm(a: HostId, b: HostId) -> (HostId, HostId) {
     }
 }
 
+/// The slot of the host pair `{a, b}` in a strict upper-triangular pair
+/// table: the pair `(lo, hi)`, `lo < hi`, lives at `hi·(hi−1)/2 + lo`.
+/// The pairs of hosts `0..n` fill exactly the first `n·(n−1)/2` slots, so
+/// covering one more host appends slots and moves none. `None` when
+/// `a == b`: a host has no bandwidth to itself. [`BandwidthCache`] and
+/// [`Gauge`](crate::gauge::Gauge) both index their pairs this way.
+pub(crate) fn pair_index(a: HostId, b: HostId) -> Option<usize> {
+    let (lo, hi) = norm(a, b);
+    (lo != hi).then(|| hi.index() * (hi.index() - 1) / 2 + lo.index())
+}
+
+/// Whether a measurement taken `at` is at most `window` old at `now`.
+fn within(at: SimTime, now: SimTime, window: SimDuration) -> bool {
+    now.saturating_since(at) <= window
+}
+
 /// A host's cache of pairwise bandwidth measurements with `T_thres` expiry.
 ///
 /// # Examples
@@ -78,17 +94,44 @@ fn norm(a: HostId, b: HostId) -> (HostId, HostId) {
 #[derive(Debug, Clone)]
 pub struct BandwidthCache {
     config: MonitorConfig,
-    /// Hosts covered by the matrix: pairs with both ids `< n` have a slot.
-    n: usize,
-    /// Row-major `n × n` slots; the pair `(lo, hi)` (normalised `lo < hi`)
-    /// lives at `lo * n + hi`, the lower triangle and diagonal stay
-    /// `None`. A dense matrix instead of a hash map because `observe` and
-    /// `measurement` sit on the engine's hottest path (every piggyback
-    /// entry of every message) — host counts are small, so the whole
-    /// matrix is a few cache lines and every access is one index.
-    slots: Vec<Option<Measurement>>,
-    /// Occupied slot count.
+    /// One row per host pair, at [`pair_index`]. Indexed rather than
+    /// hashed because `observe` and `lookup` sit on the engine's hottest
+    /// path (every piggyback entry of every message), and the few hosts of
+    /// a world make the whole table a few cache lines.
+    rows: Vec<Row>,
+    /// Length of the live list, which is the `live` column of rows
+    /// `0..live_len`: exactly the pairs whose measurement was fresh at
+    /// `collected_at`, each once. A write lists its pair when the new
+    /// measurement is fresh there and the old one was not, and
+    /// [`Self::for_each_fresh`] drops the pairs it finds expired, so
+    /// piggyback collection walks only these pairs. Every listed pair
+    /// holds a row, so the list always fits the table and shares its one
+    /// allocation.
+    live_len: usize,
+    /// The time of the latest [`Self::for_each_fresh`]; collections may
+    /// not go back in time, which keeps a dropped pair expired for good.
+    collected_at: SimTime,
+    /// Occupied row count.
     len: usize,
+}
+
+/// One row of a [`BandwidthCache`]'s table. Its two columns are indexed
+/// differently: `measurement` by [`pair_index`], `live` by position in
+/// the live list.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// The measurement of the pair at this row's [`pair_index`], `None`
+    /// until the pair is observed.
+    measurement: Option<Measurement>,
+    /// The live list's entry at this row's position, if below `live_len`.
+    live: (HostId, HostId),
+}
+
+impl Row {
+    const EMPTY: Row = Row {
+        measurement: None,
+        live: (HostId::new(0), HostId::new(0)),
+    };
 }
 
 impl BandwidthCache {
@@ -96,8 +139,9 @@ impl BandwidthCache {
     pub fn new(config: MonitorConfig) -> Self {
         BandwidthCache {
             config,
-            n: 0,
-            slots: Vec::new(),
+            rows: Vec::new(),
+            live_len: 0,
+            collected_at: SimTime::ZERO,
             len: 0,
         }
     }
@@ -107,56 +151,59 @@ impl BandwidthCache {
         &self.config
     }
 
-    /// Empties the cache and installs a (possibly different) monitoring
-    /// configuration, keeping the matrix's capacity so run arenas can
-    /// recycle caches without reallocating. Observationally identical to
+    /// Empties the cache, installs a (possibly different) monitoring
+    /// configuration and sizes the table for every pair of hosts
+    /// `0..hosts`, keeping its capacity so run arenas can recycle caches
+    /// without reallocating and no observation in a world of `hosts`
+    /// hosts grows it. Observationally identical to
     /// `BandwidthCache::new(config)`.
-    pub fn reset(&mut self, config: MonitorConfig) {
+    pub fn reset(&mut self, config: MonitorConfig, hosts: usize) {
         self.config = config;
-        self.slots.iter_mut().for_each(|s| *s = None);
+        self.rows.iter_mut().for_each(|r| *r = Row::EMPTY);
+        self.live_len = 0;
+        self.collected_at = SimTime::ZERO;
         self.len = 0;
+        self.cover(hosts);
     }
 
-    /// Grows the matrix to cover host index `hi` (rare: at most a handful
-    /// of times over a cache's life, then never again on the hot path).
-    fn ensure(&mut self, hi: usize) {
-        if hi < self.n {
-            return;
+    /// Grows the table to hold every pair of hosts `0..hosts`.
+    fn cover(&mut self, hosts: usize) {
+        let rows = hosts * hosts.saturating_sub(1) / 2;
+        if rows > self.rows.len() {
+            self.rows.resize(rows, Row::EMPTY);
         }
-        let n = hi + 1;
-        let mut slots = vec![None; n * n];
-        for lo in 0..self.n {
-            for h in (lo + 1)..self.n {
-                slots[lo * n + h] = self.slots[lo * self.n + h];
-            }
-        }
-        self.slots = slots;
-        self.n = n;
-    }
-
-    /// The slot index of the normalised pair, or `None` if the matrix
-    /// does not cover it (equivalently: the pair was never observed).
-    fn slot(&self, a: HostId, b: HostId) -> Option<usize> {
-        let (lo, hi) = norm(a, b);
-        (hi.index() < self.n).then(|| lo.index() * self.n + hi.index())
     }
 
     /// Records a measurement for the pair `(a, b)`. Older measurements for
     /// the pair are replaced only by newer ones, so absorbing stale
-    /// piggybacked values never regresses the cache.
-    pub fn observe(&mut self, a: HostId, b: HostId, bytes_per_sec: f64, at: SimTime) {
-        debug_assert_ne!(a, b, "no self-measurements");
-        let (lo, hi) = norm(a, b);
-        self.ensure(hi.index());
-        let slot = &mut self.slots[lo.index() * self.n + hi.index()];
-        match slot {
-            Some(m) if at < m.at => {}
-            Some(m) => *m = Measurement { bytes_per_sec, at },
-            None => {
-                *slot = Some(Measurement { bytes_per_sec, at });
-                self.len += 1;
-            }
+    /// piggybacked values never regresses the cache. Returns `true` if the
+    /// pair's measurement changed.
+    ///
+    /// # Panics
+    ///
+    /// If `a == b`.
+    pub fn observe(&mut self, a: HostId, b: HostId, bytes_per_sec: f64, at: SimTime) -> bool {
+        let i = pair_index(a, b).expect("no self-measurements");
+        if i >= self.rows.len() {
+            self.cover(a.max(b).index() + 1);
         }
+        let old = self.rows[i].measurement;
+        let listed = match old {
+            Some(m) if at < m.at => return false,
+            Some(m) => within(m.at, self.collected_at, self.config.t_thres),
+            None => {
+                self.len += 1;
+                false
+            }
+        };
+        // Newest wins, so a listed pair's new measurement is fresh too.
+        if !listed && within(at, self.collected_at, self.config.t_thres) {
+            self.rows[self.live_len].live = norm(a, b);
+            self.live_len += 1;
+        }
+        let new = Some(Measurement { bytes_per_sec, at });
+        self.rows[i].measurement = new;
+        old != new
     }
 
     /// Records a passive measurement from a completed transfer of
@@ -197,29 +244,48 @@ impl BandwidthCache {
         now: SimTime,
         grace: SimDuration,
     ) -> Option<f64> {
-        let m = self.slots[self.slot(a, b)?].as_ref()?;
-        (now.saturating_since(m.at) <= self.config.t_thres + grace).then_some(m.bytes_per_sec)
+        let m = self.measurement(a, b)?;
+        within(m.at, now, self.config.t_thres + grace).then_some(m.bytes_per_sec)
     }
 
     /// The raw measurement for a pair regardless of expiry.
     pub fn measurement(&self, a: HostId, b: HostId) -> Option<Measurement> {
-        self.slots[self.slot(a, b)?]
+        self.rows.get(pair_index(a, b)?)?.measurement
     }
 
-    /// Unexpired measurements at `now` in pair order (`(lo, hi)`
-    /// ascending), without allocating. Callers that need the newest-first
-    /// order must sort; `(at, pair)` keys are unique, so any comparison
-    /// sort yields one sequence.
-    pub fn iter_fresh(
-        &self,
+    /// Calls `f` with every measurement still fresh at `now`, in the live
+    /// list's order, and drops the pairs found expired from the list.
+    ///
+    /// # Panics
+    ///
+    /// If `now` is earlier than the previous call's `now` (since the last
+    /// reset): a pair dropped as expired could otherwise be fresh again.
+    pub(crate) fn for_each_fresh(
+        &mut self,
         now: SimTime,
-    ) -> impl Iterator<Item = ((HostId, HostId), Measurement)> + '_ {
-        let n = self.n;
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| s.map(|m| ((HostId::new(i / n), HostId::new(i % n)), m)))
-            .filter(move |(_, m)| now.saturating_since(m.at) <= self.config.t_thres)
+        mut f: impl FnMut((HostId, HostId), Measurement),
+    ) {
+        assert!(
+            now >= self.collected_at,
+            "cache collected at {now:?}, after a collection at {:?}",
+            self.collected_at
+        );
+        self.collected_at = now;
+        let t_thres = self.config.t_thres;
+        let mut kept = 0;
+        for k in 0..self.live_len {
+            let (a, b) = self.rows[k].live;
+            let i = pair_index(a, b).expect("listed pairs join two hosts");
+            let m = self.rows[i]
+                .measurement
+                .expect("a listed pair holds a measurement");
+            if within(m.at, now, t_thres) {
+                f((a, b), m);
+                self.rows[kept].live = (a, b);
+                kept += 1;
+            }
+        }
+        self.live_len = kept;
     }
 
     /// Number of entries, including expired ones.
@@ -286,6 +352,56 @@ mod tests {
             c.lookup(h(0), h(1), SimTime::from_secs(3)),
             Some(16.0 * 1024.0)
         );
+    }
+
+    #[test]
+    fn pair_index_packs_the_upper_triangle() {
+        for n in 0..12 {
+            let mut seen: Vec<usize> = (0..n)
+                .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
+                .map(|(a, b)| pair_index(h(a), h(b)).unwrap())
+                .collect();
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen, (0..n * n.saturating_sub(1) / 2).collect::<Vec<_>>());
+        }
+        assert_eq!(pair_index(h(3), h(3)), None);
+    }
+
+    #[test]
+    fn observe_reports_a_change() {
+        let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
+        assert!(c.observe(h(2), h(0), 5.0, SimTime::from_secs(10)));
+        assert!(
+            !c.observe(h(0), h(2), 5.0, SimTime::from_secs(10)),
+            "same value"
+        );
+        assert!(!c.observe(h(0), h(2), 6.0, SimTime::from_secs(9)), "older");
+        assert!(
+            c.observe(h(0), h(2), 6.0, SimTime::from_secs(10)),
+            "same time"
+        );
+        assert!(c.observe(h(0), h(2), 6.0, SimTime::from_secs(11)), "newer");
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn growth_and_reset_keep_the_cache_exact() {
+        let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
+        c.observe(h(0), h(1), 1.0, SimTime::ZERO);
+        c.observe(h(4), h(7), 2.0, SimTime::ZERO);
+        assert_eq!(c.lookup(h(1), h(0), SimTime::ZERO), Some(1.0));
+        assert_eq!(c.lookup(h(7), h(4), SimTime::ZERO), Some(2.0));
+        let mut fresh = Vec::new();
+        c.for_each_fresh(SimTime::from_secs(100), |pair, _| fresh.push(pair));
+        assert!(fresh.is_empty());
+        // A reset cache is a new one: empty, and collecting from zero.
+        c.reset(MonitorConfig::paper_defaults(), 3);
+        assert!(c.is_empty());
+        assert_eq!(c.measurement(h(4), h(7)), None);
+        c.observe(h(1), h(2), 3.0, SimTime::ZERO);
+        c.for_each_fresh(SimTime::ZERO, |pair, _| fresh.push(pair));
+        assert_eq!(fresh, [(h(1), h(2))]);
     }
 
     #[test]

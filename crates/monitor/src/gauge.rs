@@ -13,10 +13,10 @@
 //! every flow start/finish, and the gauger should track those steps
 //! quickly while damping one-recompute blips.
 
-use std::collections::HashMap;
-
 use wadc_plan::ids::HostId;
 use wadc_sim::time::SimTime;
+
+use crate::cache::pair_index;
 
 /// EWMA weight of the newest in-flight rate sample. Deliberately much
 /// faster than the forecaster's 0.3: gauged rates are direct readings of
@@ -48,15 +48,13 @@ struct PairGauge {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
-    pairs: HashMap<(HostId, HostId), PairGauge>,
-}
-
-fn norm(a: HostId, b: HostId) -> (HostId, HostId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
+    /// One slot per host pair, at the cache's
+    /// [`pair_index`](crate::cache::pair_index); `None` until observed. The
+    /// engine feeds every in-flight rate on every fair-share sync, so the
+    /// table is indexed, never hashed.
+    pairs: Vec<Option<PairGauge>>,
+    /// Pairs with at least one observation.
+    observed: usize,
 }
 
 impl Gauge {
@@ -65,39 +63,55 @@ impl Gauge {
         Gauge::default()
     }
 
+    /// Forgets every pair, keeping the table's capacity so a run can
+    /// reuse the gauger of the one before. Observationally identical to
+    /// `Gauge::new()`.
+    pub fn clear(&mut self) {
+        self.pairs.clear();
+        self.observed = 0;
+    }
+
     /// Records the effective rate (bytes/sec) a transfer between `a` and
     /// `b` is currently achieving. Non-finite or non-positive rates and
     /// observations older than the pair's newest are ignored.
+    ///
+    /// # Panics
+    ///
+    /// If `a == b`.
     pub fn observe(&mut self, a: HostId, b: HostId, bytes_per_sec: f64, at: SimTime) {
         if !bytes_per_sec.is_finite() || bytes_per_sec <= 0.0 {
             return;
         }
-        match self.pairs.entry(norm(a, b)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let g = e.get_mut();
+        let i = pair_index(a, b).expect("a gauged transfer joins two hosts");
+        if i >= self.pairs.len() {
+            self.pairs.resize(i + 1, None);
+        }
+        match &mut self.pairs[i] {
+            Some(g) => {
                 if at < g.last_at {
                     return;
                 }
                 g.ewma = GAUGE_ALPHA * bytes_per_sec + (1.0 - GAUGE_ALPHA) * g.ewma;
                 g.last_at = at;
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(PairGauge {
+            slot => {
+                *slot = Some(PairGauge {
                     ewma: bytes_per_sec,
                     last_at: at,
                 });
+                self.observed += 1;
             }
         }
     }
 
     /// The pair's gauged bandwidth, if any transfer has been observed.
     pub fn estimate(&self, a: HostId, b: HostId) -> Option<f64> {
-        self.pairs.get(&norm(a, b)).map(|g| g.ewma)
+        self.pairs.get(pair_index(a, b)?)?.as_ref().map(|g| g.ewma)
     }
 
     /// Number of pairs with at least one observation.
     pub fn pair_count(&self) -> usize {
-        self.pairs.len()
+        self.observed
     }
 }
 
@@ -127,6 +141,21 @@ mod tests {
         assert_eq!(g.estimate(h(0), h(1)), Some(80.0));
         assert_eq!(g.estimate(h(0), h(2)), None);
         assert_eq!(g.pair_count(), 1);
+    }
+
+    #[test]
+    fn clear_forgets_every_pair() {
+        let mut g = Gauge::new();
+        g.observe(h(2), h(5), 80.0, SimTime::from_secs(3));
+        g.clear();
+        assert_eq!(g.estimate(h(2), h(5)), None);
+        assert_eq!(g.pair_count(), 0);
+        g.observe(h(2), h(5), 10.0, SimTime::from_secs(1));
+        assert_eq!(
+            g.estimate(h(5), h(2)),
+            Some(10.0),
+            "no EWMA or clock left over"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!     SimDuration::from_secs(2),
 //!     SimTime::from_secs(2),
 //! );
-//! let payload = piggyback::collect(&sender, SimTime::from_secs(2));
+//! let payload = piggyback::collect(&mut sender, SimTime::from_secs(2));
 //! let mut receiver = BandwidthCache::new(MonitorConfig::paper_defaults());
 //! assert_eq!(piggyback::absorb(&mut receiver, &payload), 1);
 //! ```

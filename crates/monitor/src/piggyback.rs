@@ -6,6 +6,14 @@
 //! merges them into the receiver's. Absorption uses the cache's
 //! newest-wins rule, so stale gossip can never overwrite fresher local
 //! knowledge, and values propagate transitively across the tree.
+//!
+//! A payload is a set: it holds at most one entry per host pair, and
+//! every consumer (absorption, the forecaster, the wire size) is
+//! indifferent to entry order. Collection therefore walks only the
+//! cache's list of live pairs and leaves entries in that list's order;
+//! only a payload over the byte budget is ranked, newest first, by a key
+//! unique per pair, so truncation keeps the same entries whatever the
+//! list's order.
 
 use wadc_plan::ids::HostId;
 use wadc_sim::time::SimTime;
@@ -60,7 +68,11 @@ impl Piggyback {
 
 /// Selects the most recent unexpired values from `cache` (as of `now`) that
 /// fit within the cache's piggyback byte budget.
-pub fn collect(cache: &BandwidthCache, now: SimTime) -> Piggyback {
+///
+/// # Panics
+///
+/// If `now` is earlier than the cache's previous collection.
+pub fn collect(cache: &mut BandwidthCache, now: SimTime) -> Piggyback {
     let mut p = Piggyback::empty();
     collect_into(cache, now, &mut p);
     p
@@ -68,22 +80,23 @@ pub fn collect(cache: &BandwidthCache, now: SimTime) -> Piggyback {
 
 /// [`collect`] into a caller-owned payload, reusing its entry buffer.
 /// The engine's message pool keeps warm `Piggyback`s, so the per-message
-/// steady state performs no allocation here. When every fresh entry fits
-/// the byte budget, entries are left in the cache's pair-ascending
-/// iteration order — the payload is a set to receivers, so ranking it
-/// would be pure overhead on the hottest per-message path. Only when the
-/// payload must be truncated are entries ranked newest-first; `(at, pair)`
-/// sort keys are unique per cache entry, so the unstable sort is
-/// deterministic and truncation keeps exactly the newest values.
-pub fn collect_into(cache: &BandwidthCache, now: SimTime, out: &mut Piggyback) {
-    let budget = cache.config().piggyback_budget_bytes;
-    let max_entries = budget / ENTRY_WIRE_BYTES;
+/// steady state performs no allocation here. The walk visits only the
+/// cache's live pairs, dropping those that expired, so it costs the
+/// entries it carries rather than the number of host pairs. When every
+/// fresh entry fits the byte budget the entries stay in live-list order;
+/// only when the payload must be truncated are they ranked newest first
+/// (then by pair), a key unique per entry, so truncation keeps exactly
+/// the newest values.
+///
+/// # Panics
+///
+/// If `now` is earlier than the cache's previous collection.
+pub fn collect_into(cache: &mut BandwidthCache, now: SimTime, out: &mut Piggyback) {
+    let max_entries = cache.config().piggyback_budget_bytes / ENTRY_WIRE_BYTES;
     out.entries.clear();
-    out.entries.extend(
-        cache
-            .iter_fresh(now)
-            .map(|((a, b), measurement)| PiggybackEntry { a, b, measurement }),
-    );
+    cache.for_each_fresh(now, |(a, b), measurement| {
+        out.entries.push(PiggybackEntry { a, b, measurement })
+    });
     if out.entries.len() > max_entries {
         out.entries.sort_unstable_by(|x, y| {
             y.measurement
@@ -100,9 +113,7 @@ pub fn collect_into(cache: &BandwidthCache, now: SimTime, out: &mut Piggyback) {
 pub fn absorb(cache: &mut BandwidthCache, payload: &Piggyback) -> usize {
     let mut updated = 0;
     for e in &payload.entries {
-        let before = cache.measurement(e.a, e.b);
-        cache.observe(e.a, e.b, e.measurement.bytes_per_sec, e.measurement.at);
-        if cache.measurement(e.a, e.b) != before {
+        if cache.observe(e.a, e.b, e.measurement.bytes_per_sec, e.measurement.at) {
             updated += 1;
         }
     }
@@ -134,7 +145,7 @@ mod tests {
         for i in 0..100 {
             c.observe(h(i), h(i + 1), 1.0, SimTime::from_secs(100));
         }
-        let p = collect(&c, SimTime::from_secs(100));
+        let p = collect(&mut c, SimTime::from_secs(100));
         assert_eq!(p.len(), 42);
         assert!(p.wire_bytes() <= 1024);
     }
@@ -152,7 +163,7 @@ mod tests {
                 SimTime::from_secs_f64(100.0 + i as f64 * 0.5),
             );
         }
-        let p = collect(&c, SimTime::from_secs(130));
+        let p = collect(&mut c, SimTime::from_secs(130));
         assert_eq!(p.len(), 42);
         let oldest_kept = p.entries.iter().map(|e| e.measurement.at).min().unwrap();
         assert_eq!(oldest_kept, SimTime::from_secs_f64(109.0));
@@ -163,18 +174,18 @@ mod tests {
         let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
         c.observe(h(0), h(1), 1.0, SimTime::ZERO);
         c.observe(h(1), h(2), 2.0, SimTime::from_secs(100));
-        let p = collect(&c, SimTime::from_secs(120));
+        let p = collect(&mut c, SimTime::from_secs(120));
         assert_eq!(p.len(), 1);
         assert_eq!(p.entries[0].a, h(1));
     }
 
     #[test]
     fn absorb_merges_newest_wins() {
-        let sender = cache_with(3);
+        let mut sender = cache_with(3);
         let mut receiver = BandwidthCache::new(MonitorConfig::paper_defaults());
         // Receiver already knows a *newer* value for pair (0,1).
         receiver.observe(h(0), h(1), 777.0, SimTime::from_secs(50));
-        let p = collect(&sender, SimTime::from_secs(2));
+        let p = collect(&mut sender, SimTime::from_secs(2));
         let updated = absorb(&mut receiver, &p);
         assert_eq!(updated, 2, "pairs (1,2) and (2,3) are new");
         assert_eq!(
@@ -187,9 +198,9 @@ mod tests {
 
     #[test]
     fn absorb_is_idempotent() {
-        let sender = cache_with(4);
+        let mut sender = cache_with(4);
         let mut receiver = BandwidthCache::new(MonitorConfig::paper_defaults());
-        let p = collect(&sender, SimTime::from_secs(3));
+        let p = collect(&mut sender, SimTime::from_secs(3));
         let first = absorb(&mut receiver, &p);
         let second = absorb(&mut receiver, &p);
         assert!(first > 0);
@@ -208,11 +219,11 @@ mod tests {
     #[test]
     fn transitive_propagation() {
         // A knows (0,1); gossips to B; B gossips to C; C learns (0,1).
-        let a = cache_with(1);
+        let mut a = cache_with(1);
         let mut b = BandwidthCache::new(MonitorConfig::paper_defaults());
-        absorb(&mut b, &collect(&a, SimTime::from_secs(1)));
+        absorb(&mut b, &collect(&mut a, SimTime::from_secs(1)));
         let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
-        absorb(&mut c, &collect(&b, SimTime::from_secs(2)));
+        absorb(&mut c, &collect(&mut b, SimTime::from_secs(2)));
         assert!(c.lookup(h(0), h(1), SimTime::from_secs(2)).is_some());
     }
 }

@@ -1,13 +1,15 @@
 //! Randomized tests of the monitoring substrate: cache expiry, piggyback
-//! budgets, and the location-vector join semilattice. Cases are drawn from
-//! the in-repo [`Rng64`] so runs are deterministic.
+//! budgets and collection, and the location-vector join semilattice.
+//! Cases are drawn from the in-repo [`Rng64`] so runs are deterministic.
 
 use wadc_monitor::cache::{BandwidthCache, MonitorConfig};
-use wadc_monitor::piggyback::{absorb, collect, ENTRY_WIRE_BYTES};
+use wadc_monitor::piggyback::{
+    absorb, collect, collect_into, Piggyback, PiggybackEntry, ENTRY_WIRE_BYTES,
+};
 use wadc_monitor::vector::LocationVector;
 use wadc_plan::ids::{HostId, OperatorId};
 use wadc_sim::rng::{derive_seed2, Rng64};
-use wadc_sim::time::SimTime;
+use wadc_sim::time::{SimDuration, SimTime};
 
 const CASES: u64 = 48;
 
@@ -107,7 +109,7 @@ fn piggyback_budget_and_idempotence() {
             }
             sender.observe(HostId::new(a), HostId::new(b), bw, SimTime::from_secs(t));
         }
-        let payload = collect(&sender, now);
+        let payload = collect(&mut sender, now);
         assert!(payload.wire_bytes() <= config.piggyback_budget_bytes);
         assert_eq!(payload.wire_bytes(), payload.len() * ENTRY_WIRE_BYTES);
         for e in &payload.entries {
@@ -129,6 +131,129 @@ fn piggyback_budget_and_idempotence() {
             assert_eq!(receiver.measurement(e.a, e.b), before);
         }
     }
+}
+
+/// The reference collection: the full-table scan the cache's live list
+/// replaced. It visits every pair of hosts `0..hosts` in row-major order,
+/// keeps the unexpired measurements and, only when they overflow the
+/// byte budget, ranks them newest first (then by pair) and keeps the
+/// newest.
+fn reference_collect(cache: &BandwidthCache, hosts: usize, now: SimTime) -> Vec<PiggybackEntry> {
+    let config = cache.config();
+    let mut entries = Vec::new();
+    for lo in 0..hosts {
+        for hi in lo + 1..hosts {
+            let (a, b) = (HostId::new(lo), HostId::new(hi));
+            if let Some(m) = cache.measurement(a, b) {
+                if now.saturating_since(m.at) <= config.t_thres {
+                    entries.push(PiggybackEntry {
+                        a,
+                        b,
+                        measurement: m,
+                    });
+                }
+            }
+        }
+    }
+    let max_entries = config.piggyback_budget_bytes / ENTRY_WIRE_BYTES;
+    if entries.len() > max_entries {
+        entries.sort_unstable_by(|x, y| {
+            y.measurement
+                .at
+                .cmp(&x.measurement.at)
+                .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
+        });
+        entries.truncate(max_entries);
+    }
+    entries
+}
+
+/// `entries` in pair order, so two payloads compare as sets.
+fn as_set(entries: &[PiggybackEntry]) -> Vec<PiggybackEntry> {
+    let mut set = entries.to_vec();
+    set.sort_by_key(|e| (e.a, e.b));
+    set
+}
+
+/// Every pair's measurement and the entry count: all a cache answers.
+fn state(cache: &BandwidthCache, hosts: usize) -> (Vec<Option<(f64, SimTime)>>, usize) {
+    let mut pairs = Vec::new();
+    for hi in 0..hosts {
+        for lo in 0..hi {
+            let m = cache.measurement(HostId::new(lo), HostId::new(hi));
+            pairs.push(m.map(|m| (m.bytes_per_sec, m.at)));
+        }
+    }
+    (pairs, cache.len())
+}
+
+/// Collection walks only the cache's live pairs. Over random observations
+/// (fresh, stale and already expired, as absorbed gossip can be) on up to
+/// 12 hosts, whose 66 pairs overflow the 42-entry budget, interleaved with
+/// collections at non-decreasing times, each payload equals the full
+/// scan's as a set, and absorbing either leaves a receiver in the same
+/// state.
+#[test]
+fn collect_matches_full_scan() {
+    let config = MonitorConfig::paper_defaults();
+    let max_entries = config.piggyback_budget_bytes / ENTRY_WIRE_BYTES;
+    let mut truncated = 0;
+    for case in 0..CASES {
+        let mut rng = case_rng(5, case);
+        let hosts = if case % 2 == 0 {
+            12
+        } else {
+            2 + rng.range_usize(11)
+        };
+        let mut sender = BandwidthCache::new(config);
+        let (mut via_live, mut via_scan) =
+            (BandwidthCache::new(config), BandwidthCache::new(config));
+        let mut payload = Piggyback::empty();
+        let mut now = SimTime::from_secs(60);
+        for _ in 0..400 {
+            if rng.bool_with(0.9) {
+                let a = rng.range_usize(hosts);
+                let b = (a + 1 + rng.range_usize(hosts - 1)) % hosts;
+                // Up to 60 s old, past T_thres = 40 s, or up to 1 s ahead.
+                let at = now + SimDuration::from_secs(1)
+                    - SimDuration::from_millis(rng.range_u64(0, 61_000));
+                let bw = rng.range_f64(1.0, 1e6);
+                sender.observe(HostId::new(a), HostId::new(b), bw, at);
+                continue;
+            }
+            now += SimDuration::from_millis(rng.range_u64(0, 4_000));
+            collect_into(&mut sender, now, &mut payload);
+            let reference = reference_collect(&sender, hosts, now);
+            assert_eq!(as_set(&payload.entries), as_set(&reference), "case {case}");
+            if reference.len() == max_entries {
+                truncated += 1;
+            }
+            assert_eq!(
+                absorb(&mut via_live, &payload),
+                absorb(&mut via_scan, &Piggyback { entries: reference }),
+                "case {case}"
+            );
+            assert_eq!(state(&via_live, hosts), state(&via_scan, hosts));
+            // The receiver's own live list agrees with the scan too.
+            let relayed = collect(&mut via_live, now);
+            assert_eq!(
+                as_set(&relayed.entries),
+                as_set(&reference_collect(&via_scan, hosts, now))
+            );
+        }
+    }
+    assert!(truncated > 0, "some payloads must fill the budget");
+}
+
+/// A cache's collections must run forward in time: an entry dropped as
+/// expired would otherwise be fresh again at the earlier time.
+#[test]
+#[should_panic(expected = "after a collection at")]
+fn collecting_back_in_time_panics() {
+    let mut cache = BandwidthCache::new(MonitorConfig::paper_defaults());
+    cache.observe(HostId::new(0), HostId::new(1), 1.0, SimTime::ZERO);
+    collect(&mut cache, SimTime::from_secs(10));
+    collect(&mut cache, SimTime::from_secs(9));
 }
 
 /// Location-vector merge is a join: commutative, associative, idempotent,
