@@ -11,7 +11,7 @@
 //! wadc trace [--pair A,B] [--seed S] [--window-hours H]
 //! wadc plan  [--servers N] [--seed S] [--objective critical-path|contended]
 //! wadc verify [--quick] [--seed S] [--threads T]
-//! wadc verify --print-golden | --print-golden-topo
+//! wadc verify --print-golden
 //! wadc chaos [--loss P] [--probe-blackhole P] [--move-failure P] [--outages N]
 //!            [--outage-mins M] [--crash-host H] [--crash-at-secs S] [--seed S]
 //! wadc chaos --soak N [--shrink] [--threads T] [--servers N] [--seed S]
@@ -86,9 +86,8 @@ plan   compute and print a one-shot placement for a random world
 verify check engine conformance: golden digests, determinism, invariants,
        the threads=1 == threads=N sweep gate, and (without --quick) the
        differential and chaos suites
-         --quick  --seed S (42)  --print-golden (regenerate the fixture)
-         --print-golden-topo (regenerate the topology-backend fixture)
-           (each print flag goes alone)
+         --quick  --seed S (42)
+         --print-golden (regenerate the fixture; takes no other flag)
          --threads T (2, at least 2): sweep-gate and chaos-matrix thread
            count (deliberately not clamped to the core count —
            oversubscribed interleavings are exactly what the gate must
@@ -153,13 +152,7 @@ const STUDY_FLAGS: &[&str] = &[
 ];
 const TRACE_FLAGS: &[&str] = &["--pair", "--seed", "--window-hours"];
 const PLAN_FLAGS: &[&str] = &["--servers", "--seed", "--config", "--objective"];
-const VERIFY_FLAGS: &[&str] = &[
-    "--quick",
-    "--seed",
-    "--print-golden",
-    "--print-golden-topo",
-    "--threads",
-];
+const VERIFY_FLAGS: &[&str] = &["--quick", "--seed", "--print-golden", "--threads"];
 const CHAOS_FLAGS: &[&str] = &[
     "--loss",
     "--probe-blackhole",
@@ -220,7 +213,6 @@ fn parse_flags(cmd: &str, args: &[String], allowed: &[&[&str]]) -> HashMap<Strin
         if key == "--audit"
             || key == "--quick"
             || key == "--print-golden"
-            || key == "--print-golden-topo"
             || key == "--gauge-analysis"
             || key == "--json"
             || key == "--shrink"
@@ -746,22 +738,17 @@ fn cmd_plan(flags: HashMap<String, String>) {
 /// `wadc verify --print-golden > tests/golden/digests.txt`.
 const GOLDEN_FIXTURE: &str = include_str!("../../tests/golden/digests.txt");
 
-/// The topology-backend digests pinned by the repository; regenerated
-/// with `wadc verify --print-golden-topo > tests/golden/digests_topo.txt`.
-const GOLDEN_FIXTURE_TOPO: &str = include_str!("../../tests/golden/digests_topo.txt");
-
 fn cmd_verify(flags: HashMap<String, String>) {
-    // Printing a fixture runs nothing else, so a print flag takes no
-    // other flag, the other print flag included.
-    for print in ["--print-golden", "--print-golden-topo"] {
-        if !flags.contains_key(print) {
-            continue;
-        }
-        if let Some(other) = flags.keys().filter(|k| k.as_str() != print).min() {
+    // Printing the fixture runs nothing else, so the print flag takes no
+    // other flag.
+    if flags.contains_key("--print-golden") {
+        if let Some(other) = flags.keys().filter(|k| *k != "--print-golden").min() {
             reject(&format!(
-                "{print} takes no other flag: {other} would be ignored"
+                "--print-golden takes no other flag: {other} would be ignored"
             ));
         }
+        print!("{}", golden::render_fixture());
+        return;
     }
     // Not resolve_threads: the verify gate *wants* oversubscription (more
     // workers than cores still shuffles completion order), so the flag is
@@ -774,14 +761,6 @@ fn cmd_verify(flags: HashMap<String, String>) {
              would compare the sequential study with itself",
         );
     }
-    if flags.contains_key("--print-golden") {
-        print!("{}", golden::render_fixture());
-        return;
-    }
-    if flags.contains_key("--print-golden-topo") {
-        print!("{}", golden::render_topo_fixture());
-        return;
-    }
     let seed = flag(&flags, "--seed", 42u64);
     let mut failures: Vec<String> = Vec::new();
 
@@ -791,17 +770,6 @@ fn cmd_verify(flags: HashMap<String, String>) {
         golden::compare_fixture(GOLDEN_FIXTURE)
             .into_iter()
             .map(|f| format!("golden: {f}")),
-    );
-
-    let topo_cases = golden::topo_golden_cases();
-    println!(
-        "golden: comparing {} pinned topology-backend scenarios...",
-        topo_cases.len()
-    );
-    failures.extend(
-        golden::compare_topo_fixture(GOLDEN_FIXTURE_TOPO)
-            .into_iter()
-            .map(|f| format!("golden-topo: {f}")),
     );
 
     // The per-pair quick world and the paper-WAN topology world; the
