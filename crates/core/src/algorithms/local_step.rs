@@ -100,6 +100,7 @@ pub fn best_local_site(
 mod tests {
     use super::*;
     use wadc_plan::bandwidth::BwMatrix;
+    use wadc_plan::ids::pairs;
 
     fn h(i: usize) -> HostId {
         HostId::new(i)
@@ -183,10 +184,8 @@ mod tests {
         let model = CostModel::paper_defaults();
         // All neighbourhood links slow; host 4 has fast links to everyone.
         let mut bw = BwMatrix::new(5);
-        for a in 0..4usize {
-            for b in (a + 1)..4 {
-                bw.set(h(a), h(b), 2_000.0);
-            }
+        for (a, b) in pairs(4) {
+            bw.set(a, b, 2_000.0);
         }
         for x in 0..4usize {
             bw.set(h(4), h(x), 1_000_000.0);

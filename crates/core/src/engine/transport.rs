@@ -10,7 +10,7 @@ use wadc_monitor::piggyback;
 use wadc_net::faults::TrafficKind;
 use wadc_net::network::{Priority, StartedTransfer, TransferId, TransferSpec};
 use wadc_obs::recorder::{EventArgs, EventKind, TrackName};
-use wadc_plan::ids::{HostId, NodeId};
+use wadc_plan::ids::{pairs, HostId, NodeId};
 use wadc_sim::event::EventId;
 use wadc_sim::rng::derive_seed;
 use wadc_sim::time::SimTime;
@@ -486,15 +486,12 @@ impl Engine {
             return;
         }
         let client = self.roster.client();
-        let n = self.roster.host_count();
-        for a in (0..n).map(HostId::new) {
-            for b in (a.index() + 1..n).map(HostId::new) {
-                if !self.hosts[a.index()].declared_dead
-                    && !self.hosts[b.index()].declared_dead
-                    && self.hosts[client.index()].cache.lookup(a, b, now).is_none()
-                {
-                    self.submit_probe(a, b, now);
-                }
+        for (a, b) in pairs(self.roster.host_count()) {
+            if !self.hosts[a.index()].declared_dead
+                && !self.hosts[b.index()].declared_dead
+                && self.hosts[client.index()].cache.lookup(a, b, now).is_none()
+            {
+                self.submit_probe(a, b, now);
             }
         }
         self.pump();

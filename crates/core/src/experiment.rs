@@ -521,7 +521,7 @@ mod tests {
         // NIC capacity 2 — and the nominal traces are the same Arcs. The
         // digests must match exactly under every algorithm.
         use wadc_net::network::NetworkParams;
-        use wadc_plan::ids::HostId;
+        use wadc_plan::ids::pairs;
         use wadc_topo::graph::TopologyBuilder;
         let thirty = SimDuration::from_secs(30);
         let algorithms = [
@@ -538,13 +538,11 @@ mod tests {
             exp.template_mut().net = NetworkParams::with_nic_capacity(nic_capacity);
             let n = exp.template().n_servers + 1;
             let mut b = TopologyBuilder::new(n);
-            for lo in 0..n {
-                for hi in (lo + 1)..n {
-                    let (x, y) = (HostId::new(lo), HostId::new(hi));
-                    let trace = exp.links().trace(x, y).expect("complete table");
-                    let link = b.add_link(&format!("private-{lo}-{hi}"), trace.clone());
-                    b.route(x, y, &[link]);
-                }
+            for (x, y) in pairs(n) {
+                let trace = exp.links().trace(x, y).expect("complete table");
+                let name = format!("private-{}-{}", x.index(), y.index());
+                let link = b.add_link(&name, trace.clone());
+                b.route(x, y, &[link]);
             }
             let star = exp.clone().with_topology(Arc::new(b.build()));
             assert!(exp.topology().is_none() && star.topology().is_none());

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use wadc_monitor::forecast::Forecaster;
 use wadc_monitor::gauge::Gauge;
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::{pairs, HostId};
 use wadc_sim::time::{SimDuration, SimTime};
 use wadc_topo::fair::{max_min_shares, FairScratch};
 use wadc_topo::graph::{LinkId, Topology, TopologyBuilder};
@@ -78,14 +78,8 @@ fn backbone_world(flows: usize, seed: u64) -> (Topology, Arc<BandwidthTrace>) {
     }
     // Pairs among the servers themselves never carry traffic here but a
     // topology must route every pair.
-    for i in 0..flows {
-        for j in (i + 1)..flows {
-            b.route(
-                HostId::new(i),
-                HostId::new(j),
-                &[access[i], backbone, access[j]],
-            );
-        }
+    for (x, y) in pairs(flows) {
+        b.route(x, y, &[access[x.index()], backbone, access[y.index()]]);
     }
     (b.build(), backbone_trace)
 }

@@ -9,7 +9,7 @@ use wadc_app::image::SizeDistribution;
 use wadc_app::workload::WorkloadParams;
 use wadc_core::engine::{Algorithm, EngineConfig, RunResult};
 use wadc_core::experiment::Experiment;
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::pairs;
 use wadc_sim::time::{SimDuration, SimTime};
 use wadc_topo::link::LinkTable;
 use wadc_trace::model::BandwidthTrace;
@@ -18,10 +18,8 @@ use wadc_trace::model::BandwidthTrace;
 fn constant_links(n: usize, bytes_per_sec: f64) -> LinkTable {
     let mut links = LinkTable::new(n);
     let tr = Arc::new(BandwidthTrace::constant(bytes_per_sec));
-    for a in 0..n {
-        for b in (a + 1)..n {
-            links.set(HostId::new(a), HostId::new(b), tr.clone());
-        }
+    for (a, b) in pairs(n) {
+        links.set(a, b, tr.clone());
     }
     links
 }

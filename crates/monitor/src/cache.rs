@@ -6,32 +6,27 @@
 //! bandwidth measurement cache; entries are timed out after T_thres
 //! seconds". The experiments used `S_thres = 16 KB` and `T_thres = 40 s`.
 
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::{pair_count, pair_index, HostId};
 use wadc_sim::time::{SimDuration, SimTime};
+
+/// Transfers at least this large produce a passive bandwidth measurement
+/// at both endpoints (paper: `S_thres` = 16 KB).
+pub const S_THRES_BYTES: u64 = 16 * 1024;
 
 /// Monitoring parameters, defaulting to the paper's values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
-    /// Transfers at least this large produce a passive bandwidth
-    /// measurement at both endpoints (paper: 16 KB).
-    pub s_thres_bytes: u64,
     /// Cache entries older than this are expired (paper: 40 s, chosen as
     /// "a little less than half" the ~2-minute expected interval between
     /// significant bandwidth changes).
     pub t_thres: SimDuration,
-    /// Byte budget for bandwidth values piggybacked on each message
-    /// (paper: "the most recent bandwidth values (those that fit within
-    /// 1KB) are piggybacked").
-    pub piggyback_budget_bytes: usize,
 }
 
 impl MonitorConfig {
     /// The paper's monitoring constants.
     pub fn paper_defaults() -> Self {
         MonitorConfig {
-            s_thres_bytes: 16 * 1024,
             t_thres: SimDuration::from_secs(40),
-            piggyback_budget_bytes: 1024,
         }
     }
 }
@@ -49,25 +44,6 @@ pub struct Measurement {
     pub bytes_per_sec: f64,
     /// When the measurement was taken.
     pub at: SimTime,
-}
-
-fn norm(a: HostId, b: HostId) -> (HostId, HostId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// The slot of the host pair `{a, b}` in a strict upper-triangular pair
-/// table: the pair `(lo, hi)`, `lo < hi`, lives at `hi·(hi−1)/2 + lo`.
-/// The pairs of hosts `0..n` fill exactly the first `n·(n−1)/2` slots, so
-/// covering one more host appends slots and moves none. `None` when
-/// `a == b`: a host has no bandwidth to itself. [`BandwidthCache`] and
-/// [`Gauge`](crate::gauge::Gauge) both index their pairs this way.
-pub(crate) fn pair_index(a: HostId, b: HostId) -> Option<usize> {
-    let (lo, hi) = norm(a, b);
-    (lo != hi).then(|| hi.index() * (hi.index() - 1) / 2 + lo.index())
 }
 
 /// Whether a measurement taken `at` is at most `window` old at `now`.
@@ -168,7 +144,7 @@ impl BandwidthCache {
 
     /// Grows the table to hold every pair of hosts `0..hosts`.
     fn cover(&mut self, hosts: usize) {
-        let rows = hosts * hosts.saturating_sub(1) / 2;
+        let rows = pair_count(hosts);
         if rows > self.rows.len() {
             self.rows.resize(rows, Row::EMPTY);
         }
@@ -198,7 +174,7 @@ impl BandwidthCache {
         };
         // Newest wins, so a listed pair's new measurement is fresh too.
         if !listed && within(at, self.collected_at, self.config.t_thres) {
-            self.rows[self.live_len].live = norm(a, b);
+            self.rows[self.live_len].live = (a.min(b), a.max(b));
             self.live_len += 1;
         }
         let new = Some(Measurement { bytes_per_sec, at });
@@ -207,7 +183,8 @@ impl BandwidthCache {
     }
 
     /// Records a passive measurement from a completed transfer of
-    /// `bytes` over `elapsed`, but only when the transfer meets `S_thres`.
+    /// `bytes` over `elapsed`, but only when the transfer meets
+    /// [`S_THRES_BYTES`].
     /// Returns `true` if a measurement was recorded.
     pub fn observe_transfer(
         &mut self,
@@ -217,7 +194,7 @@ impl BandwidthCache {
         elapsed: SimDuration,
         completed_at: SimTime,
     ) -> bool {
-        if bytes < self.config.s_thres_bytes || elapsed.is_zero() {
+        if bytes < S_THRES_BYTES || elapsed.is_zero() {
             return false;
         }
         self.observe(a, b, bytes as f64 / elapsed.as_secs_f64(), completed_at);
@@ -352,20 +329,6 @@ mod tests {
             c.lookup(h(0), h(1), SimTime::from_secs(3)),
             Some(16.0 * 1024.0)
         );
-    }
-
-    #[test]
-    fn pair_index_packs_the_upper_triangle() {
-        for n in 0..12 {
-            let mut seen: Vec<usize> = (0..n)
-                .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
-                .map(|(a, b)| pair_index(h(a), h(b)).unwrap())
-                .collect();
-            seen.sort_unstable();
-            seen.dedup();
-            assert_eq!(seen, (0..n * n.saturating_sub(1) / 2).collect::<Vec<_>>());
-        }
-        assert_eq!(pair_index(h(3), h(3)), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! deterministic per-pair jitter so probes spread out instead of
 //! thundering in phase (exactly the NWS token-ring motivation).
 
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::{pairs, HostId};
 use wadc_sim::rng::derive_seed2;
 use wadc_sim::time::{SimDuration, SimTime};
 
@@ -72,13 +72,7 @@ impl ProbeScheduler {
 
     /// Builds the all-pairs scheduler over `n_hosts` hosts.
     pub fn all_pairs(n_hosts: usize, interval: SimDuration, seed: u64) -> Self {
-        let mut pairs = Vec::new();
-        for a in 0..n_hosts {
-            for b in (a + 1)..n_hosts {
-                pairs.push((HostId::new(a), HostId::new(b)));
-            }
-        }
-        ProbeScheduler::new(pairs, interval, seed)
+        ProbeScheduler::new(pairs(n_hosts).collect(), interval, seed)
     }
 
     /// The probing interval.

@@ -9,9 +9,9 @@
 //! [`crate::cache::BandwidthCache`] value — the ablation benches compare
 //! planning from forecasts against planning from last measurements.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::{pair_index, HostId};
 use wadc_sim::time::SimTime;
 
 /// The predictor family (NWS's core set).
@@ -107,19 +107,14 @@ struct SeriesState {
 #[derive(Debug, Clone)]
 pub struct Forecaster {
     window_len: usize,
-    series: HashMap<(HostId, HostId), SeriesState>,
-}
-
-fn norm(a: HostId, b: HostId) -> (HostId, HostId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
+    /// One series per host pair, at [`pair_index`]; `None` until observed.
+    series: Vec<Option<SeriesState>>,
+    /// Pairs with history.
+    observed: usize,
 }
 
 impl Forecaster {
-    /// Forgets every series (keeping the map's capacity) and installs a
+    /// Forgets every series (keeping the table's capacity) and installs a
     /// new window length, so run arenas can recycle forecasters between
     /// runs. Observationally identical to `Forecaster::new(window_len)`.
     ///
@@ -130,6 +125,7 @@ impl Forecaster {
         assert!(window_len > 0, "window must hold at least one measurement");
         self.window_len = window_len;
         self.series.clear();
+        self.observed = 0;
     }
 
     /// Creates a forecaster keeping up to `window_len` measurements per
@@ -142,16 +138,28 @@ impl Forecaster {
         assert!(window_len > 0, "window must hold at least one measurement");
         Forecaster {
             window_len,
-            series: HashMap::new(),
+            series: Vec::new(),
+            observed: 0,
         }
     }
 
     /// Feeds a measurement; out-of-order (older than the last) samples are
     /// ignored.
+    ///
+    /// # Panics
+    ///
+    /// If `a == b`.
     pub fn observe(&mut self, a: HostId, b: HostId, bytes_per_sec: f64, at: SimTime) {
-        let key = norm(a, b);
+        let i = pair_index(a, b).expect("a forecast pair joins two hosts");
+        if i >= self.series.len() {
+            self.series.resize(i + 1, None);
+        }
+        let slot = &mut self.series[i];
+        if slot.is_none() {
+            self.observed += 1;
+        }
         let window_len = self.window_len;
-        let entry = self.series.entry(key).or_insert_with(|| SeriesState {
+        let entry = slot.get_or_insert_with(|| SeriesState {
             window: VecDeque::with_capacity(window_len),
             ewma: bytes_per_sec,
             errors: [0.0; 4],
@@ -181,19 +189,21 @@ impl Forecaster {
     /// with the lowest cumulative error so far (ties favour
     /// [`Predictor::LastValue`]). `None` for pairs never observed.
     pub fn forecast(&self, a: HostId, b: HostId) -> Option<f64> {
-        let entry = self.series.get(&norm(a, b))?;
-        let best = self.best_predictor_of(entry);
+        let entry = self.series_of(a, b)?;
+        let best = Self::best_predictor_of(entry);
         Some(best.predict(&entry.window, entry.ewma))
     }
 
     /// Which predictor currently wins for a pair.
     pub fn best_predictor(&self, a: HostId, b: HostId) -> Option<Predictor> {
-        self.series
-            .get(&norm(a, b))
-            .map(|e| self.best_predictor_of(e))
+        self.series_of(a, b).map(Self::best_predictor_of)
     }
 
-    fn best_predictor_of(&self, entry: &SeriesState) -> Predictor {
+    fn series_of(&self, a: HostId, b: HostId) -> Option<&SeriesState> {
+        self.series.get(pair_index(a, b)?)?.as_ref()
+    }
+
+    fn best_predictor_of(entry: &SeriesState) -> Predictor {
         let mut best = Predictor::LastValue;
         let mut best_err = f64::INFINITY;
         for (p, &e) in Predictor::ALL.iter().zip(&entry.errors) {
@@ -207,7 +217,7 @@ impl Forecaster {
 
     /// Number of host pairs with history.
     pub fn pair_count(&self) -> usize {
-        self.series.len()
+        self.observed
     }
 }
 
@@ -283,6 +293,45 @@ mod tests {
         f.observe(h(3), h(1), 42.0, SimTime::ZERO);
         assert_eq!(f.forecast(h(1), h(3)), Some(42.0));
         assert_eq!(f.pair_count(), 1);
+    }
+
+    #[test]
+    fn reset_is_a_fresh_forecaster() {
+        // Three pairs, one spiky, so the predictors' scores differ.
+        let obs: Vec<(usize, usize, f64)> = (0..30)
+            .map(|k| match k % 3 {
+                0 => (0, 1, 100.0 + k as f64),
+                1 => (4, 2, if k % 4 == 1 { 9_000.0 } else { 300.0 }),
+                _ => (3, 0, 50.0 * (k % 5) as f64 + 10.0),
+            })
+            .collect();
+        let feed_all = |f: &mut Forecaster| {
+            for (k, &(a, b, v)) in obs.iter().enumerate() {
+                f.observe(h(a), h(b), v, SimTime::from_secs(k as u64));
+            }
+        };
+        let mut f = Forecaster::new(4);
+        feed_all(&mut f);
+        f.reset(6);
+        for &(a, b, _) in &obs {
+            assert_eq!(f.forecast(h(a), h(b)), None);
+            assert_eq!(f.best_predictor(h(a), h(b)), None);
+        }
+        assert_eq!(f.pair_count(), 0);
+        // The same samples again, at the same (now earlier) times: no
+        // window, score or clock survives the reset.
+        feed_all(&mut f);
+        let mut fresh = Forecaster::new(6);
+        feed_all(&mut fresh);
+        for &(a, b, _) in &obs {
+            assert!(f.forecast(h(a), h(b)).is_some());
+            assert_eq!(f.forecast(h(a), h(b)), fresh.forecast(h(a), h(b)));
+            assert_eq!(
+                f.best_predictor(h(a), h(b)),
+                fresh.best_predictor(h(a), h(b))
+            );
+        }
+        assert_eq!(f.pair_count(), 3);
     }
 
     #[test]

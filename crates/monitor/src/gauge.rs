@@ -13,10 +13,8 @@
 //! every flow start/finish, and the gauger should track those steps
 //! quickly while damping one-recompute blips.
 
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::{pair_index, HostId};
 use wadc_sim::time::SimTime;
-
-use crate::cache::pair_index;
 
 /// EWMA weight of the newest in-flight rate sample. Deliberately much
 /// faster than the forecaster's 0.3: gauged rates are direct readings of
@@ -48,10 +46,9 @@ struct PairGauge {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
-    /// One slot per host pair, at the cache's
-    /// [`pair_index`](crate::cache::pair_index); `None` until observed. The
-    /// engine feeds every in-flight rate on every fair-share sync, so the
-    /// table is indexed, never hashed.
+    /// One slot per host pair, at [`pair_index`]; `None` until observed.
+    /// The engine feeds every in-flight rate on every fair-share sync, so
+    /// the table is indexed, never hashed.
     pairs: Vec<Option<PairGauge>>,
     /// Pairs with at least one observation.
     observed: usize,

@@ -11,7 +11,7 @@
 use wadc_obs::metrics::SeriesKind;
 use wadc_obs::recorder::{Obs, SeriesId, SeriesName};
 use wadc_plan::bandwidth::BandwidthView;
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::{pairs, HostId};
 use wadc_sim::time::SimTime;
 
 use crate::cache::BandwidthCache;
@@ -27,20 +27,14 @@ pub struct EstimateGauges {
 impl EstimateGauges {
     /// Registers series for every unordered pair of `n_hosts` hosts.
     pub fn new(obs: &Obs, n_hosts: usize) -> EstimateGauges {
-        let mut pairs = Vec::new();
-        for a in 0..n_hosts {
-            for b in (a + 1)..n_hosts {
-                let truth = obs.series(
-                    SeriesKind::Gauge,
-                    SeriesName::TrueBandwidth(a as u32, b as u32),
-                );
-                let est = obs.series(
-                    SeriesKind::Gauge,
-                    SeriesName::EstBandwidth(a as u32, b as u32),
-                );
-                pairs.push((HostId::new(a), HostId::new(b), truth, est));
-            }
-        }
+        let pairs = pairs(n_hosts)
+            .map(|(a, b)| {
+                let (lo, hi) = (a.index() as u32, b.index() as u32);
+                let truth = obs.series(SeriesKind::Gauge, SeriesName::TrueBandwidth(lo, hi));
+                let est = obs.series(SeriesKind::Gauge, SeriesName::EstBandwidth(lo, hi));
+                (a, b, truth, est)
+            })
+            .collect();
         let error = obs.series(SeriesKind::Gauge, SeriesName::EstAbsRelError);
         EstimateGauges { pairs, error }
     }

@@ -24,6 +24,11 @@ use crate::cache::{BandwidthCache, Measurement};
 /// bandwidth and an 8-byte timestamp.
 pub const ENTRY_WIRE_BYTES: usize = 24;
 
+/// Byte budget for the bandwidth values piggybacked on each message
+/// (paper: "the most recent bandwidth values (those that fit within 1KB)
+/// are piggybacked").
+pub const PIGGYBACK_BUDGET_BYTES: usize = 1024;
+
 /// One piggybacked bandwidth value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PiggybackEntry {
@@ -67,7 +72,7 @@ impl Piggyback {
 }
 
 /// Selects the most recent unexpired values from `cache` (as of `now`) that
-/// fit within the cache's piggyback byte budget.
+/// fit within [`PIGGYBACK_BUDGET_BYTES`].
 ///
 /// # Panics
 ///
@@ -92,7 +97,7 @@ pub fn collect(cache: &mut BandwidthCache, now: SimTime) -> Piggyback {
 ///
 /// If `now` is earlier than the cache's previous collection.
 pub fn collect_into(cache: &mut BandwidthCache, now: SimTime, out: &mut Piggyback) {
-    let max_entries = cache.config().piggyback_budget_bytes / ENTRY_WIRE_BYTES;
+    let max_entries = PIGGYBACK_BUDGET_BYTES / ENTRY_WIRE_BYTES;
     out.entries.clear();
     cache.for_each_fresh(now, |(a, b), measurement| {
         out.entries.push(PiggybackEntry { a, b, measurement })

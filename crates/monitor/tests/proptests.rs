@@ -5,6 +5,7 @@
 use wadc_monitor::cache::{BandwidthCache, MonitorConfig};
 use wadc_monitor::piggyback::{
     absorb, collect, collect_into, Piggyback, PiggybackEntry, ENTRY_WIRE_BYTES,
+    PIGGYBACK_BUDGET_BYTES,
 };
 use wadc_monitor::vector::LocationVector;
 use wadc_plan::ids::{HostId, OperatorId};
@@ -110,7 +111,7 @@ fn piggyback_budget_and_idempotence() {
             sender.observe(HostId::new(a), HostId::new(b), bw, SimTime::from_secs(t));
         }
         let payload = collect(&mut sender, now);
-        assert!(payload.wire_bytes() <= config.piggyback_budget_bytes);
+        assert!(payload.wire_bytes() <= PIGGYBACK_BUDGET_BYTES);
         assert_eq!(payload.wire_bytes(), payload.len() * ENTRY_WIRE_BYTES);
         for e in &payload.entries {
             assert!(now.saturating_since(e.measurement.at) <= config.t_thres);
@@ -155,7 +156,7 @@ fn reference_collect(cache: &BandwidthCache, hosts: usize, now: SimTime) -> Vec<
             }
         }
     }
-    let max_entries = config.piggyback_budget_bytes / ENTRY_WIRE_BYTES;
+    let max_entries = PIGGYBACK_BUDGET_BYTES / ENTRY_WIRE_BYTES;
     if entries.len() > max_entries {
         entries.sort_unstable_by(|x, y| {
             y.measurement
@@ -196,7 +197,7 @@ fn state(cache: &BandwidthCache, hosts: usize) -> (Vec<Option<(f64, SimTime)>>, 
 #[test]
 fn collect_matches_full_scan() {
     let config = MonitorConfig::paper_defaults();
-    let max_entries = config.piggyback_budget_bytes / ENTRY_WIRE_BYTES;
+    let max_entries = PIGGYBACK_BUDGET_BYTES / ENTRY_WIRE_BYTES;
     let mut truncated = 0;
     for case in 0..CASES {
         let mut rng = case_rng(5, case);

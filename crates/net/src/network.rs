@@ -24,7 +24,7 @@ use wadc_obs::recorder::{
 };
 use wadc_obs::report::fmt_bytes;
 use wadc_plan::cost::STARTUP;
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::{pair_count, pair_index, HostId};
 use wadc_sim::time::{SimDuration, SimTime};
 
 use wadc_trace::model::TraceCursor;
@@ -373,8 +373,9 @@ pub struct Network<P> {
     faults: Option<FaultInjector>,
     /// The throughput model over the network's topology.
     topo: TopoModel,
-    /// One trace-lookup cursor per unordered host pair (both directions of
-    /// a pair share a nominal trace, so they share a cursor). Transfer start times
+    /// One trace-lookup cursor per host pair, at [`pair_index`] (both
+    /// directions of a pair share a nominal trace, so they share a
+    /// cursor). Transfer start times
     /// on a link advance nearly monotonically, which the cursors turn into
     /// O(1) segment lookups; results are identical to cursor-free lookups.
     link_cursors: Vec<TraceCursor>,
@@ -419,7 +420,7 @@ impl<P> Network<P> {
         nic_busy.clear();
         nic_busy.resize(n, 0);
         link_cursors.clear();
-        link_cursors.resize_with(n * n, TraceCursor::new);
+        link_cursors.resize_with(pair_count(n), TraceCursor::new);
         Network {
             params,
             nic_busy,
@@ -466,16 +467,6 @@ impl<P> Network<P> {
             link_cursors: self.link_cursors,
             topo: self.topo.buf,
         }
-    }
-
-    /// The shared cursor of the unordered pair `(a, b)`.
-    fn cursor_index(&self, a: HostId, b: HostId) -> usize {
-        let (lo, hi) = if a.index() <= b.index() {
-            (a.index(), b.index())
-        } else {
-            (b.index(), a.index())
-        };
-        lo * self.nic_busy.len() + hi
     }
 
     /// Attaches a fault injector: links it reports as blocked stop
@@ -653,11 +644,12 @@ impl<P> Network<P> {
                 self.nic_busy[spec.src.index()] += 1;
                 self.nic_busy[spec.dst.index()] += 1;
                 let data_start = now + STARTUP;
-                let cursor_idx = self.cursor_index(spec.src, spec.dst);
+                let pair =
+                    pair_index(spec.src, spec.dst).expect("submit refuses co-located transfers");
                 let trace = self.topo.topology().nominal_trace(spec.src, spec.dst);
                 let completes_at = data_start
                     + trace.transfer_duration_with(
-                        &mut self.link_cursors[cursor_idx],
+                        &mut self.link_cursors[pair],
                         spec.bytes,
                         data_start,
                     );
@@ -790,6 +782,7 @@ impl<P> Network<P> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use wadc_plan::ids::pairs;
     use wadc_trace::model::BandwidthTrace;
 
     fn h(i: usize) -> HostId {
@@ -798,10 +791,8 @@ mod tests {
 
     fn net(n: usize, bw: f64) -> Network<u32> {
         let mut links = LinkTable::new(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                links.set(h(a), h(b), Arc::new(BandwidthTrace::constant(bw)));
-            }
+        for (a, b) in pairs(n) {
+            links.set(a, b, Arc::new(BandwidthTrace::constant(bw)));
         }
         Network::new(NetworkParams::paper_defaults(), per_pair(links))
     }
@@ -921,10 +912,8 @@ mod tests {
     fn capacity_two_allows_concurrent_transfers_per_host() {
         // With two channels, host 2 can receive from 0 and 1 at once.
         let mut links = LinkTable::new(3);
-        for a in 0..3 {
-            for b in (a + 1)..3 {
-                links.set(h(a), h(b), Arc::new(BandwidthTrace::constant(1000.0)));
-            }
+        for (a, b) in pairs(3) {
+            links.set(a, b, Arc::new(BandwidthTrace::constant(1000.0)));
         }
         let mut n: Network<u32> =
             Network::new(NetworkParams::with_nic_capacity(2), per_pair(links));

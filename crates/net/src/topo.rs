@@ -400,6 +400,7 @@ mod tests {
     use super::*;
     use crate::network::Priority;
     use std::sync::Arc;
+    use wadc_plan::ids::pairs;
     use wadc_sim::time::SimDuration;
     use wadc_topo::graph::TopologyBuilder;
     use wadc_topo::link::LinkTable;
@@ -437,10 +438,8 @@ mod tests {
             })
             .collect();
         let bb = b.add_link("backbone", Arc::new(BandwidthTrace::constant(bb_bw)));
-        for lo in 0..4 {
-            for hi in (lo + 1)..4 {
-                b.route(h(lo), h(hi), &[acc[lo], bb, acc[hi]]);
-            }
+        for (x, y) in pairs(4) {
+            b.route(x, y, &[acc[x.index()], bb, acc[y.index()]]);
         }
         Arc::new(b.build())
     }
@@ -537,10 +536,8 @@ mod tests {
             "backbone",
             Arc::new(BandwidthTrace::from_steps(&[(0.0, 100.0), (10.0, 10.0)]).unwrap()),
         );
-        for lo in 0..4 {
-            for hi in (lo + 1)..4 {
-                bld.route(h(lo), h(hi), &[acc[lo], bb, acc[hi]]);
-            }
+        for (x, y) in pairs(4) {
+            bld.route(x, y, &[acc[x.index()], bb, acc[y.index()]]);
         }
         let mut m = model(Arc::new(bld.build()));
         let (a, b) = (TransferId::from_raw(0), TransferId::from_raw(1));

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use wadc_net::faults::TrafficKind;
 use wadc_net::network::{Network, NetworkParams, Priority, StartedTransfer, TransferSpec};
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::{pairs, HostId};
 use wadc_sim::rng::{derive_seed2, Rng64};
 use wadc_sim::time::SimTime;
 use wadc_topo::graph::Topology;
@@ -46,10 +46,8 @@ fn arb_transfers(rng: &mut Rng64, n_hosts: usize) -> Vec<(usize, usize, u64, boo
 fn links(n: usize) -> Arc<Topology> {
     let mut l = LinkTable::new(n);
     let tr = Arc::new(BandwidthTrace::constant(10_000.0));
-    for a in 0..n {
-        for b in (a + 1)..n {
-            l.set(HostId::new(a), HostId::new(b), tr.clone());
-        }
+    for (a, b) in pairs(n) {
+        l.set(a, b, tr.clone());
     }
     Arc::new(Topology::per_pair(l))
 }

@@ -6,7 +6,7 @@
 //! missing — the monitoring system only knows pairs it has observed — and
 //! the cost model decides what to assume for unknown links.
 
-use crate::ids::HostId;
+use crate::ids::{pair_count, pair_index, pairs, HostId};
 
 /// Read access to (estimated) pairwise bandwidth, bytes per second.
 ///
@@ -42,6 +42,7 @@ impl<T: BandwidthView + ?Sized> BandwidthView for &T {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BwMatrix {
     n: usize,
+    /// One entry per host pair, at [`pair_index`].
     vals: Vec<Option<f64>>,
 }
 
@@ -50,18 +51,15 @@ impl BwMatrix {
     pub fn new(n: usize) -> Self {
         BwMatrix {
             n,
-            vals: vec![None; n * n],
+            vals: vec![None; pair_count(n)],
         }
     }
 
     /// Builds a fully populated matrix from a function of host pairs.
     pub fn from_fn(n: usize, mut f: impl FnMut(HostId, HostId) -> f64) -> Self {
         let mut m = BwMatrix::new(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                let bw = f(HostId::new(a), HostId::new(b));
-                m.set(HostId::new(a), HostId::new(b), bw);
-            }
+        for (a, b) in pairs(n) {
+            m.set(a, b, f(a, b));
         }
         m
     }
@@ -81,9 +79,8 @@ impl BwMatrix {
             a.index() < self.n && b.index() < self.n,
             "host out of range"
         );
-        assert_ne!(a, b, "no self-links");
-        self.vals[a.index() * self.n + b.index()] = Some(bytes_per_sec);
-        self.vals[b.index() * self.n + a.index()] = Some(bytes_per_sec);
+        let i = pair_index(a, b).expect("no self-links");
+        self.vals[i] = Some(bytes_per_sec);
     }
 
     /// Clears the entry for a pair.
@@ -96,30 +93,20 @@ impl BwMatrix {
             a.index() < self.n && b.index() < self.n,
             "host out of range"
         );
-        self.vals[a.index() * self.n + b.index()] = None;
-        self.vals[b.index() * self.n + a.index()] = None;
+        if let Some(i) = pair_index(a, b) {
+            self.vals[i] = None;
+        }
     }
 
     /// Number of known (unordered) pairs.
     pub fn known_pairs(&self) -> usize {
-        let mut k = 0;
-        for a in 0..self.n {
-            for b in (a + 1)..self.n {
-                if self.vals[a * self.n + b].is_some() {
-                    k += 1;
-                }
-            }
-        }
-        k
+        self.vals.iter().filter(|v| v.is_some()).count()
     }
 }
 
 impl BandwidthView for BwMatrix {
     fn bandwidth(&self, a: HostId, b: HostId) -> Option<f64> {
-        if a == b || a.index() >= self.n || b.index() >= self.n {
-            return None;
-        }
-        self.vals[a.index() * self.n + b.index()]
+        *self.vals.get(pair_index(a, b)?)?
     }
 }
 

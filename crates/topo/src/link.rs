@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use wadc_plan::bandwidth::BandwidthView;
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::{pair_count, pair_index, pairs, HostId};
 use wadc_sim::rng::Rng64;
 use wadc_sim::time::SimTime;
 use wadc_trace::model::BandwidthTrace;
@@ -38,6 +38,7 @@ use wadc_trace::model::BandwidthTrace;
 #[derive(Debug, Clone)]
 pub struct LinkTable {
     n: usize,
+    /// One trace per host pair, at [`pair_index`].
     traces: Vec<Option<Arc<BandwidthTrace>>>,
 }
 
@@ -46,7 +47,7 @@ impl LinkTable {
     pub fn new(n: usize) -> Self {
         LinkTable {
             n,
-            traces: vec![None; n * n],
+            traces: vec![None; pair_count(n)],
         }
     }
 
@@ -61,11 +62,8 @@ impl LinkTable {
         assert!(!pool.is_empty(), "trace pool must be non-empty");
         let mut rng = Rng64::seed_from_u64(seed);
         let mut table = LinkTable::new(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                let t = pool[rng.range_usize(pool.len())].clone();
-                table.set(HostId::new(a), HostId::new(b), t);
-            }
+        for (a, b) in pairs(n) {
+            table.set(a, b, pool[rng.range_usize(pool.len())].clone());
         }
         table
     }
@@ -85,17 +83,13 @@ impl LinkTable {
             a.index() < self.n && b.index() < self.n,
             "host out of range"
         );
-        assert_ne!(a, b, "no self-links");
-        self.traces[a.index() * self.n + b.index()] = Some(trace.clone());
-        self.traces[b.index() * self.n + a.index()] = Some(trace);
+        let i = pair_index(a, b).expect("no self-links");
+        self.traces[i] = Some(trace);
     }
 
     /// The trace for a link, or `None` if unassigned.
     pub fn trace(&self, a: HostId, b: HostId) -> Option<&Arc<BandwidthTrace>> {
-        if a == b || a.index() >= self.n || b.index() >= self.n {
-            return None;
-        }
-        self.traces[a.index() * self.n + b.index()].as_ref()
+        self.traces.get(pair_index(a, b)?)?.as_ref()
     }
 
     /// True bandwidth of a link at time `t`.
@@ -105,9 +99,7 @@ impl LinkTable {
 
     /// Returns `true` if every link of the complete graph has a trace.
     pub fn is_complete(&self) -> bool {
-        (0..self.n).all(|a| {
-            ((a + 1)..self.n).all(|b| self.trace(HostId::new(a), HostId::new(b)).is_some())
-        })
+        self.traces.iter().all(Option::is_some)
     }
 
     /// An oracle [`BandwidthView`] of the true link bandwidths at time
@@ -129,15 +121,14 @@ impl LinkTable {
             factor.is_finite() && factor > 0.0,
             "scale factor must be finite and positive"
         );
-        let mut out = LinkTable::new(self.n);
-        for a in 0..self.n {
-            for b in (a + 1)..self.n {
-                if let Some(tr) = self.trace(HostId::new(a), HostId::new(b)) {
-                    out.set(HostId::new(a), HostId::new(b), Arc::new(tr.scaled(factor)));
-                }
-            }
+        LinkTable {
+            n: self.n,
+            traces: self
+                .traces
+                .iter()
+                .map(|tr| tr.as_ref().map(|tr| Arc::new(tr.scaled(factor))))
+                .collect(),
         }
-        out
     }
 
     /// A copy of the table with the hosts relabeled by `perm` (host `i`
@@ -156,11 +147,13 @@ impl LinkTable {
             seen[p] = true;
         }
         let mut out = LinkTable::new(self.n);
-        for a in 0..self.n {
-            for b in (a + 1)..self.n {
-                if let Some(tr) = self.trace(HostId::new(a), HostId::new(b)) {
-                    out.set(HostId::new(perm[a]), HostId::new(perm[b]), tr.clone());
-                }
+        for (a, b) in pairs(self.n) {
+            if let Some(tr) = self.trace(a, b) {
+                out.set(
+                    HostId::new(perm[a.index()]),
+                    HostId::new(perm[b.index()]),
+                    tr.clone(),
+                );
             }
         }
         out
@@ -211,13 +204,11 @@ mod tests {
         let a = LinkTable::random_from_pool(9, &pool, 77);
         let b = LinkTable::random_from_pool(9, &pool, 77);
         assert!(a.is_complete());
-        for x in 0..9 {
-            for y in (x + 1)..9 {
-                assert_eq!(
-                    a.bandwidth_at(h(x), h(y), SimTime::ZERO),
-                    b.bandwidth_at(h(x), h(y), SimTime::ZERO)
-                );
-            }
+        for (x, y) in pairs(9) {
+            assert_eq!(
+                a.bandwidth_at(x, y, SimTime::ZERO),
+                b.bandwidth_at(x, y, SimTime::ZERO)
+            );
         }
     }
 
@@ -228,11 +219,8 @@ mod tests {
             .collect();
         let a = LinkTable::random_from_pool(9, &pool, 1);
         let b = LinkTable::random_from_pool(9, &pool, 2);
-        let differs = (0..9).any(|x| {
-            ((x + 1)..9).any(|y| {
-                a.bandwidth_at(h(x), h(y), SimTime::ZERO)
-                    != b.bandwidth_at(h(x), h(y), SimTime::ZERO)
-            })
+        let differs = pairs(9).any(|(x, y)| {
+            a.bandwidth_at(x, y, SimTime::ZERO) != b.bandwidth_at(x, y, SimTime::ZERO)
         });
         assert!(differs);
     }
@@ -251,12 +239,10 @@ mod tests {
             .collect();
         let t = LinkTable::random_from_pool(4, &pool, 5);
         let s = t.scaled(3.0);
-        for a in 0..4 {
-            for b in (a + 1)..4 {
-                let base = t.bandwidth_at(h(a), h(b), SimTime::ZERO).unwrap();
-                let scaled = s.bandwidth_at(h(a), h(b), SimTime::ZERO).unwrap();
-                assert!((scaled - 3.0 * base).abs() < 1e-9);
-            }
+        for (a, b) in pairs(4) {
+            let base = t.bandwidth_at(a, b, SimTime::ZERO).unwrap();
+            let scaled = s.bandwidth_at(a, b, SimTime::ZERO).unwrap();
+            assert!((scaled - 3.0 * base).abs() < 1e-9);
         }
     }
 

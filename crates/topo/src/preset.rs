@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::pairs;
 use wadc_sim::rng::{derive_seed2, Rng64};
 use wadc_trace::model::BandwidthTrace;
 
@@ -108,20 +108,18 @@ fn build_paper_wan(n_hosts: usize, pool: &[Arc<BandwidthTrace>], seed: u64) -> T
     let transatlantic = b.add_link("transatlantic", pool[rng.range_usize(pool.len())].clone());
     let transamerican = b.add_link("transamerican", pool[rng.range_usize(pool.len())].clone());
 
-    for lo in 0..n_hosts {
-        for hi in (lo + 1)..n_hosts {
-            let (a, z) = (HostId::new(lo), HostId::new(hi));
-            let (x, y) = (access[lo], access[hi]);
-            match (region_of(lo, n_hosts), region_of(hi, n_hosts)) {
-                // Intra-region: the two access links suffice.
-                (ra, rb) if ra == rb => b.route(a, z, &[x, y]),
-                // US <-> EU over the Atlantic.
-                (0, 1) | (1, 0) => b.route(a, z, &[x, transatlantic, y]),
-                // US <-> Brazil over the American backbone.
-                (0, 2) | (2, 0) => b.route(a, z, &[x, transamerican, y]),
-                // EU <-> Brazil crosses both oceans via the US.
-                _ => b.route(a, z, &[x, transatlantic, transamerican, y]),
-            }
+    for (a, z) in pairs(n_hosts) {
+        let (lo, hi) = (a.index(), z.index());
+        let (x, y) = (access[lo], access[hi]);
+        match (region_of(lo, n_hosts), region_of(hi, n_hosts)) {
+            // Intra-region: the two access links suffice.
+            (ra, rb) if ra == rb => b.route(a, z, &[x, y]),
+            // US <-> EU over the Atlantic.
+            (0, 1) | (1, 0) => b.route(a, z, &[x, transatlantic, y]),
+            // US <-> Brazil over the American backbone.
+            (0, 2) | (2, 0) => b.route(a, z, &[x, transamerican, y]),
+            // EU <-> Brazil crosses both oceans via the US.
+            _ => b.route(a, z, &[x, transatlantic, transamerican, y]),
         }
     }
     b.build()
@@ -130,6 +128,7 @@ fn build_paper_wan(n_hosts: usize, pool: &[Arc<BandwidthTrace>], seed: u64) -> T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wadc_plan::ids::HostId;
     use wadc_sim::time::SimTime;
 
     fn pool() -> Vec<Arc<BandwidthTrace>> {
@@ -168,15 +167,12 @@ mod tests {
             build_preset(TopoPreset::PaperWan, 7, &pool(), 42),
             build_preset(TopoPreset::PaperWan, 7, &pool(), 42),
         );
-        for lo in 0..7 {
-            for hi in (lo + 1)..7 {
-                let (x, y) = (HostId::new(lo), HostId::new(hi));
-                assert_eq!(a.route(x, y), b.route(x, y));
-                assert_eq!(
-                    a.nominal_trace(x, y).bandwidth_at(SimTime::ZERO),
-                    b.nominal_trace(x, y).bandwidth_at(SimTime::ZERO)
-                );
-            }
+        for (x, y) in pairs(7) {
+            assert_eq!(a.route(x, y), b.route(x, y));
+            assert_eq!(
+                a.nominal_trace(x, y).bandwidth_at(SimTime::ZERO),
+                b.nominal_trace(x, y).bandwidth_at(SimTime::ZERO)
+            );
         }
     }
 

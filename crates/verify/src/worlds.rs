@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use wadc_core::engine::{Algorithm, EngineConfig};
 use wadc_core::experiment::{Experiment, LinkTable};
-use wadc_plan::ids::HostId;
+use wadc_plan::ids::pairs;
 use wadc_sim::rng::derive_seed2;
 use wadc_sim::time::SimDuration;
 use wadc_trace::model::BandwidthTrace;
@@ -50,18 +50,14 @@ pub fn distinct_links_experiment(n_servers: usize, seed: u64) -> Experiment {
     let n = n_servers + 1;
     let bases = [4.0, 8.0, 16.0, 48.0, 96.0, 192.0];
     let mut links = LinkTable::new(n);
-    let mut pair = 0u64;
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let base = bases[(pair as usize) % bases.len()] * 1024.0;
-            let trace = generate(
-                &SynthParams::wide_area(base),
-                SimDuration::from_hours(2),
-                derive_seed2(seed, 7, pair),
-            );
-            links.set(HostId::new(a), HostId::new(b), Arc::new(trace));
-            pair += 1;
-        }
+    for (pair, (a, b)) in pairs(n).enumerate() {
+        let base = bases[pair % bases.len()] * 1024.0;
+        let trace = generate(
+            &SynthParams::wide_area(base),
+            SimDuration::from_hours(2),
+            derive_seed2(seed, 7, pair as u64),
+        );
+        links.set(a, b, Arc::new(trace));
     }
     Experiment::new(links, template(n_servers, seed))
 }
@@ -73,19 +69,11 @@ pub fn distinct_links_experiment(n_servers: usize, seed: u64) -> Experiment {
 pub fn constant_links_experiment(n_servers: usize, seed: u64) -> Experiment {
     let n = n_servers + 1;
     let mut links = LinkTable::new(n);
-    let mut pair = 0u64;
-    for a in 0..n {
-        for b in (a + 1)..n {
-            // Distinct deterministic rates in 6–45 KB/s: slow enough to be
-            // network-bound, spread enough to avoid placement-cost ties.
-            let rate = 1024.0 * (6.0 + 3.0 * pair as f64);
-            links.set(
-                HostId::new(a),
-                HostId::new(b),
-                Arc::new(BandwidthTrace::constant(rate)),
-            );
-            pair += 1;
-        }
+    for (pair, (a, b)) in pairs(n).enumerate() {
+        // Distinct deterministic rates in 6–45 KB/s: slow enough to be
+        // network-bound, spread enough to avoid placement-cost ties.
+        let rate = 1024.0 * (6.0 + 3.0 * pair as f64);
+        links.set(a, b, Arc::new(BandwidthTrace::constant(rate)));
     }
     Experiment::new(links, template(n_servers, seed))
 }
@@ -107,16 +95,9 @@ mod tests {
     fn constant_links_have_distinct_rates() {
         let exp = constant_links_experiment(4, 3);
         let links = exp.links();
-        let mut rates = Vec::new();
-        for a in 0..links.host_count() {
-            for b in (a + 1)..links.host_count() {
-                rates.push(
-                    links
-                        .bandwidth_at(HostId::new(a), HostId::new(b), SimTime::ZERO)
-                        .unwrap(),
-                );
-            }
-        }
+        let rates: Vec<f64> = pairs(links.host_count())
+            .map(|(a, b)| links.bandwidth_at(a, b, SimTime::ZERO).unwrap())
+            .collect();
         let mut sorted = rates.clone();
         sorted.sort_by(f64::total_cmp);
         sorted.dedup();
